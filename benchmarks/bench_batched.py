@@ -3,7 +3,7 @@
 The DESIGN choice under test: replica statistics for probabilistic claims
 (election phases, census accuracy) should come from one stacked
 computation over an (R, n) state array — one sparse product over the
-horizontally-stacked one-hot block matrix per step — rather than R
+horizontally-stacked feature-state indicator per step — rather than R
 sequential single-replica engine runs that each repay the per-step Python
 overhead.  Target (ISSUE 1 acceptance): >= 5x at R = 64 on the
 leader-election workload.  Equivalence (replica i bitwise equal to the

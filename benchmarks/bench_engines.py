@@ -76,7 +76,7 @@ def test_three_engine_comparison(benchmark):
 
     The batched engine is built for R > 1, but even at R = 1 its per-step
     cost should stay within a small constant of the vectorized engine —
-    this guards against the stacked one-hot layout regressing the
+    this guards against the stacked indicator layout regressing the
     single-replica path.  The R = 16 column shows the amortized per-replica
     cost the replica-statistics helpers actually pay (see also
     bench_batched.py / E17 for the probabilistic workload).

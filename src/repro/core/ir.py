@@ -43,7 +43,9 @@ import hashlib
 import math
 import weakref
 from collections.abc import Hashable, Mapping
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
+
+import numpy as np
 
 from repro.core.automaton import FSSGA, ProbabilisticFSSGA
 from repro.core.compile import CompilationError, compile_rule
@@ -67,6 +69,7 @@ State = Hashable
 __all__ = [
     "CompiledAutomaton",
     "CompiledProgram",
+    "StepTables",
     "LoweringError",
     "QuotientLoweringError",
     "BackendLoweringError",
@@ -149,6 +152,38 @@ class CompiledProgram:
         return f"CompiledProgram({len(self.clauses)} clauses, default={self.default})"
 
 
+class StepTables(NamedTuple):
+    """Per-IR lookup tables for the array step kernel, derived once.
+
+    Lemma 3.8: a mod-thresh cascade reads, per atom, one neighbour counter,
+    so a step only needs the counts of the states some atom names.
+
+    ``feature_states``
+        Sorted codes of the alphabet states that appear in some atom — the
+        ``F`` count columns a step computes (atoms on states outside the
+        alphabet read a constant zero count and need no column).
+    ``feature_column``
+        ``state → column`` over those states, the ``code`` mapping
+        :func:`~repro.runtime.backends.kernels.prop_bool` reads counts by.
+    ``lut``
+        ``(s·r,)`` successor codes indexed by ``key = code·r + draw``: a
+        clause-less program's default, ``code`` itself (hold) for a key the
+        table lacks, and the default for the programs with clauses, whose
+        nodes are then overwritten by cascade resolution.
+    ``clause_programs``
+        ``((key, CompiledProgram), …)`` for the programs with clauses.
+    ``decode``
+        The alphabet as an object array: ``decode[codes]`` maps a code
+        array back to states in one gather.
+    """
+
+    feature_states: np.ndarray
+    feature_column: dict
+    lut: np.ndarray
+    clause_programs: tuple
+    decode: np.ndarray
+
+
 def _hold(q: State) -> ModThreshProgram:
     """The no-op program padding result-only own states."""
     return ModThreshProgram(clauses=(), default=q)
@@ -195,6 +230,7 @@ class CompiledAutomaton:
         self.source_programs = source_programs
         self.name = name
         self._content_hash: Optional[str] = None
+        self._step_tables: Optional[StepTables] = None
 
     # ------------------------------------------------------------------
     def content_hash(self) -> str:
@@ -220,6 +256,44 @@ class CompiledAutomaton:
                 )
             self._content_hash = h.hexdigest()
         return self._content_hash
+
+    @property
+    def step_tables(self) -> StepTables:
+        """The kernel's derived :class:`StepTables`, built on first use.
+
+        Derived from the fields :meth:`content_hash` covers, so they are
+        not hashed themselves.
+        """
+        if self._step_tables is None:
+            s, r = len(self.alphabet), self.randomness
+            used = {a.state for a in self.atoms}
+            feature_states = np.array(
+                [c for c, q in enumerate(self.alphabet) if q in used],
+                dtype=np.int64,
+            )
+            lut = np.repeat(np.arange(s, dtype=np.int64), r)  # hold
+            clause_programs = []
+            for (qc, draw), prog in self.table.items():
+                if draw >= r:  # never drawn
+                    continue
+                key = qc * r + draw
+                lut[key] = prog.default
+                if prog.clauses:
+                    clause_programs.append((key, prog))
+            decode = np.empty(s, dtype=object)
+            for c, q in enumerate(self.alphabet):
+                decode[c] = q  # element-wise: tuple states stay scalars
+            self._step_tables = StepTables(
+                feature_states=feature_states,
+                feature_column={
+                    self.alphabet[c]: j
+                    for j, c in enumerate(feature_states.tolist())
+                },
+                lut=lut,
+                clause_programs=tuple(clause_programs),
+                decode=decode,
+            )
+        return self._step_tables
 
     def program_for(self, q: State, draw: int = 0) -> Optional[CompiledProgram]:
         """The compiled cascade for ``(q, draw)``, or None (hold state)."""

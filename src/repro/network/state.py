@@ -60,6 +60,11 @@ class NetworkState(Mapping):
         self._map[v] = q
 
     # -- queries -----------------------------------------------------------
+    def states_of(self, nodes: Iterable[Node]) -> Iterator[State]:
+        """The states of ``nodes``, in order, looked up without a Python
+        call per node (the array engines encode large states through it)."""
+        return map(self._map.__getitem__, nodes)
+
     def counts(self) -> Counter:
         """Multiplicity of each state over all nodes."""
         return Counter(self._map.values())

@@ -2,16 +2,16 @@
 
 The three array engines (vectorized, batched, quotient) all execute the
 same :class:`~repro.core.ir.CompiledAutomaton` IR, and their per-step hot
-path decomposes into three primitives — neighbour-count via CSR matvec /
-quotient-CSR product, atom-table evaluation, cascade-table state
-transition — plus RNG-draw and reduction hooks.  This package owns that
+path decomposes into three primitives — neighbour counts of the IR's
+feature states via a CSR / quotient-CSR product, atom-table evaluation,
+cascade-table state transition — plus RNG-draw and reduction hooks.  This package owns that
 seam:
 
 * :class:`~repro.runtime.backends.base.ArrayBackend` — the contract
   (:meth:`~repro.runtime.backends.base.ArrayBackend.step` and friends);
 * :class:`~repro.runtime.backends.numpy_backend.NumpyBackend` — the
-  extracted historical numpy/scipy code, the default, bitwise-identical
-  to the pre-backend engines;
+  numpy/scipy kernel of :mod:`repro.runtime.backends.kernels`, the
+  default and the bitwise reference;
 * :class:`~repro.runtime.backends.array_api.ArrayApiBackend` — the kernel
   in pure array-API calls, so cupy/torch namespaces slot in unmodified;
 * :class:`~repro.runtime.backends.numba_backend.NumbaBackend` — an
@@ -38,14 +38,7 @@ from typing import Union
 
 from repro.core.ir import BackendLoweringError
 from repro.runtime.backends.base import ArrayBackend
-from repro.runtime.backends.kernels import (
-    AtomTable,
-    ctree_bool,
-    one_hot_counts,
-    prop_bool,
-    resolve_compiled,
-    stacked_counts,
-)
+from repro.runtime.backends.kernels import AtomTable, ctree_bool, prop_bool
 from repro.runtime.backends.array_api import ArrayApiBackend
 from repro.runtime.backends.numba_backend import (
     HAS_NUMBA,
@@ -71,9 +64,6 @@ __all__ = [
     "AtomTable",
     "prop_bool",
     "ctree_bool",
-    "resolve_compiled",
-    "one_hot_counts",
-    "stacked_counts",
 ]
 
 #: The one shared step budget for every engine's open-ended run modes

@@ -5,9 +5,10 @@ outside the `array API standard <https://data-apis.org/array-api/>`_, so
 neither runs on cupy/torch/jax arrays.  This backend re-expresses the
 three hot primitives in standard calls only:
 
-* neighbour counts densify the adjacency once (cached per matrix object)
-  and use broadcasted ``xp.matmul`` — ``(m, m) @ (..., m, s)`` covers the
-  single-replica, batched and quotient shapes in one expression;
+* neighbour counts of the IR's feature states densify the adjacency once
+  (cached per matrix object) and use broadcasted ``xp.matmul`` —
+  ``(m, m) @ (..., m, F)`` covers the single-replica, batched and quotient
+  shapes in one expression;
 * atom evaluation is comparison/remainder ops over the counts tensor,
   memoized per step exactly like the numpy :class:`AtomTable`;
 * cascade resolution folds a reversed ``xp.where`` chain (the last write
@@ -61,19 +62,19 @@ class ArrayApiBackend(ArrayBackend):
         self._adj_cache = (adj, dense)
         return dense
 
-    def neighbour_counts(self, adj, sig, n_states: int):
+    def neighbour_counts(self, adj, sig, ir):
         xp = self.xp
         sigx = xp.asarray(sig)
-        one_hot = xp.astype(
-            sigx[..., None] == xp.arange(n_states, dtype=sigx.dtype), xp.int64
-        )
-        return xp.matmul(self._dense_adjacency(adj), one_hot)
+        features = xp.asarray(ir.step_tables.feature_states, dtype=sigx.dtype)
+        indicator = xp.astype(sigx[..., None] == features, xp.int64)
+        return xp.matmul(self._dense_adjacency(adj), indicator)
 
     def transition(self, ir, counts, sig, live, draws):
         xp = self.xp
         sigx = xp.asarray(sig)
         livex = xp.asarray(live)
         drawsx = xp.asarray(draws) if draws is not None else None
+        column = ir.step_tables.feature_column
         memo: dict[int, object] = {}
         shape = counts.shape[:-1]
 
@@ -81,7 +82,7 @@ class ArrayApiBackend(ArrayBackend):
             arr = memo.get(idx)
             if arr is None:
                 atom = ir.atoms[idx]
-                col = ir.code.get(atom.state)
+                col = column.get(atom.state)
                 if hasattr(atom, "threshold"):
                     if col is None:  # state never occurs
                         arr = xp.ones(shape, dtype=xp.bool)
@@ -132,7 +133,7 @@ class ArrayApiBackend(ArrayBackend):
         return np.asarray(new_sig)
 
     def step(self, adj, sig, live, draws, ir):
-        counts = self.neighbour_counts(adj, sig, len(ir.alphabet))
+        counts = self.neighbour_counts(adj, sig, ir)
         new_sig = self.transition(ir, counts, sig, live, draws)
         if new_sig is sig:  # no cascade fired: hand back a fresh array
             new_sig = np.array(new_sig)

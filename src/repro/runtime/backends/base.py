@@ -1,14 +1,15 @@
 """The :class:`ArrayBackend` contract every execution backend implements.
 
 A backend owns the three hot primitives of a synchronous FSSGA step —
-neighbour-state counting, atom-table evaluation and cascade-table state
-transition — plus the RNG-draw and reduction hooks around them.  Engines
-own everything else: CSR construction, fault masking, live-node slicing,
-replica bookkeeping, telemetry and state decoding.  The boundary is
-numpy: engines hand the backend numpy arrays (plus the scipy CSR
-adjacency) and get a numpy state vector back, so a backend is free to run
-its middle on whatever substrate it likes (a JIT kernel, an accelerator
-array library) as long as the returned codes are exact.
+neighbour counting of the states the atoms read, atom-table evaluation
+and cascade-table state transition — plus the RNG-draw and reduction
+hooks around them.  Engines own everything else: CSR construction, fault
+masking, live-node slicing, replica bookkeeping, telemetry and state
+decoding.  The boundary is numpy: engines hand the backend numpy arrays
+(plus the scipy CSR adjacency) and get a numpy state vector back, so a
+backend is free to run its middle on whatever substrate it likes (a JIT
+kernel, an accelerator array library) as long as the returned codes are
+exact.
 
 All hooks are shape-generic over the leading axes: ``sig`` is ``(m,)``
 for the vectorized and quotient engines and ``(R, m)`` for the batched
@@ -63,12 +64,23 @@ class ArrayBackend:
         """
         raise NotImplementedError
 
-    def neighbour_counts(self, adj, sig: np.ndarray, n_states: int):
-        """Optional granular hook: the ``(..., m, s)`` count tensor."""
+    def neighbour_counts(self, adj, sig: np.ndarray, ir):
+        """Optional granular hook: the ``(..., m, F)`` count tensor.
+
+        Column ``f`` counts, for every node, the neighbours in state
+        ``ir.step_tables.feature_states[f]`` — only the states some atom
+        reads (Lemma 3.8).  Exact integers: mod atoms see true counts.
+        A backend exposing the hooks calls both through ``self`` from
+        :meth:`step`, positionally, so a subclass can wrap them.
+        """
         raise NotImplementedError(f"{self.name} backend only exposes step()")
 
     def transition(self, ir, counts, sig, live, draws):
-        """Optional granular hook: cascade resolution over ``counts``."""
+        """Optional granular hook: the successor codes of ``sig``.
+
+        ``counts`` is what :meth:`neighbour_counts` returned; ``sig``,
+        ``live`` and ``draws`` are as for :meth:`step`.
+        """
         raise NotImplementedError(f"{self.name} backend only exposes step()")
 
     # -- RNG and reduction hooks ----------------------------------------

@@ -1,23 +1,28 @@
 """The shared numpy step-kernel primitives every array engine executes.
 
-This module is the single home of the machinery that used to be duplicated
-across the vectorized, batched and quotient engines: proposition
-evaluation over a neighbour-count tensor (:func:`prop_bool`), the lazily
-memoized per-step atom truth table (:class:`AtomTable`), compiled-tree
-evaluation (:func:`ctree_bool`), cascade resolution with ``np.select``
-first-match semantics (:func:`resolve_compiled`), and the one-hot
-neighbour-count products (:func:`one_hot_counts` for a single state
-vector, :func:`stacked_counts` for an ``(R, n)`` replica stack).
+One synchronous step is counts → atoms → cascades, laid out the way
+Lemma 3.8 allows: an atom reads one neighbour counter, so a step counts
+only the ``F`` *feature states* some atom names
+(:attr:`~repro.core.ir.StepTables.feature_states`), and each
+``(state, draw)`` group resolves its cascade on that group's nodes only.
 
-Everything here is shape-generic: evaluators operate on any counts tensor
-whose *last* axis indexes the alphabet — ``(n, s)`` for the
-single-replica and quotient engines, ``(R, n, s)`` for the batched one —
-so a single implementation serves all engines with no code divergence.
+* :func:`feature_counts` — the ``(..., m, F)`` neighbour counts as one
+  CSR × dense product ``adj @ indicator`` (exact int64, so mod atoms see
+  true counts however large); an ``(R, m)`` replica stack uses one
+  ``(m, R·F)`` indicator, and ``F = 0`` computes nothing.
+* :func:`transition` — the successor codes: one gather through the IR's
+  ``(s·r,)`` lookup table settles every clause-less program and every
+  hold, then each program with clauses runs ``np.select`` (exactly the
+  first-match semantics of a Definition 3.6 cascade) over its own rows.
+* :class:`AtomTable` / :func:`ctree_bool` / :func:`prop_bool` — atom and
+  proposition evaluation; each atom is evaluated at most once per step and
+  shared by every cascade that mentions it.
 
-:class:`~repro.runtime.backends.NumpyBackend` is a thin wrapper over
-these functions; the legacy private names (``_AtomTable``,
-``_resolve_compiled``, …) are re-exported by
-:mod:`repro.runtime.vectorized` so historical imports keep working.
+Everything is shape-generic over the leading axes — ``(m,)`` for the
+single-replica and quotient engines, ``(R, m)`` for the batched one — so a
+single implementation serves all engines with no code divergence.
+:class:`~repro.runtime.backends.NumpyBackend` is a thin wrapper over these
+functions.
 """
 
 from __future__ import annotations
@@ -25,9 +30,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 
 import numpy as np
-from scipy import sparse
 
-from repro.core.ir import CompiledProgram
 from repro.core.modthresh import (
     And,
     ModAtom,
@@ -42,17 +45,16 @@ __all__ = [
     "prop_bool",
     "AtomTable",
     "ctree_bool",
-    "resolve_compiled",
-    "one_hot_counts",
-    "stacked_counts",
+    "feature_counts",
+    "transition",
 ]
 
 
 def prop_bool(prop: Proposition, counts: np.ndarray, code: Mapping) -> np.ndarray:
-    """Evaluate a proposition over a counts tensor ``(..., s)`` → bool ``(...)``.
+    """Evaluate a proposition over a counts tensor ``(..., F)`` → bool ``(...)``.
 
-    The leading shape is arbitrary: ``(n,)`` for the single-replica engine,
-    ``(R, n)`` for the batched one.
+    ``code`` maps a state to its count column; a state without one never
+    occurs among the neighbours (its count is 0).
     """
     shape = counts.shape[:-1]
     if isinstance(prop, ThreshAtom):
@@ -85,18 +87,17 @@ def prop_bool(prop: Proposition, counts: np.ndarray, code: Mapping) -> np.ndarra
 class AtomTable:
     """Per-step truth table over the IR's unique feature atoms.
 
-    Each atom evaluates lazily, exactly once, into a boolean array shared by
-    every cascade that references it — the common-subexpression payoff of
-    the atom-table IR.
+    Each atom evaluates lazily, exactly once, into a boolean array over
+    all entries, shared by every cascade that references it — the
+    common-subexpression payoff of the atom-table IR.
     """
 
-    __slots__ = ("atoms", "counts", "code", "shape", "_memo")
+    __slots__ = ("atoms", "counts", "code", "_memo")
 
     def __init__(self, atoms: tuple, counts: np.ndarray, code: Mapping) -> None:
         self.atoms = atoms
         self.counts = counts
         self.code = code
-        self.shape = counts.shape[:-1]
         self._memo: dict[int, np.ndarray] = {}
 
     def truth(self, idx: int) -> np.ndarray:
@@ -107,76 +108,67 @@ class AtomTable:
         return arr
 
 
-def ctree_bool(tree: tuple, table: AtomTable) -> np.ndarray:
-    """Evaluate a compiled proposition tree against the atom truth table."""
+def ctree_bool(tree: tuple, table: AtomTable, rows: np.ndarray) -> np.ndarray:
+    """Evaluate a compiled proposition tree on the entries ``rows``."""
     op = tree[0]
     if op == "atom":
-        return table.truth(tree[1])
+        return table.truth(tree[1])[rows]
     if op == "not":
-        return ~ctree_bool(tree[1], table)
+        return ~ctree_bool(tree[1], table, rows)
     if op == "and":
-        out = np.ones(table.shape, dtype=bool)
+        out = np.ones(rows.shape, dtype=bool)
         for c in tree[1]:
-            out &= ctree_bool(c, table)
+            out &= ctree_bool(c, table, rows)
         return out
     if op == "or":
-        out = np.zeros(table.shape, dtype=bool)
+        out = np.zeros(rows.shape, dtype=bool)
         for c in tree[1]:
-            out |= ctree_bool(c, table)
+            out |= ctree_bool(c, table, rows)
         return out
-    return np.full(table.shape, tree[1])  # ("const", bool)
+    return np.full(rows.shape, tree[1])  # ("const", bool)
 
 
-def resolve_compiled(
-    cprog: CompiledProgram,
-    table: AtomTable,
-    mask: np.ndarray,
-    new_sigma: np.ndarray,
-) -> None:
-    """Resolve one IR cascade for the masked entries into ``new_sigma``.
-
-    ``np.select`` has exactly the first-match semantics of a Definition 3.6
-    cascade, evaluated for every entry of the leading shape at once.
-    """
-    if not cprog.clauses:
-        new_sigma[mask] = cprog.default
-        return
-    conds = [ctree_bool(t, table) for t, _ in cprog.clauses]
-    out = np.select(
-        conds,
-        [np.int64(c) for _, c in cprog.clauses],
-        default=np.int64(cprog.default),
-    )
-    new_sigma[mask] = out[mask]
-
-
-def one_hot_counts(adj, sig: np.ndarray, s: int) -> np.ndarray:
-    """Neighbour-count table for one state vector: ``adj @ one_hot(sig)``.
+def feature_counts(adj, sig: np.ndarray, feature_states: np.ndarray) -> np.ndarray:
+    """Neighbour counts of the feature states: ``adj @ indicator``.
 
     ``adj`` is an ``(m, m)`` CSR adjacency (or quotient matrix with orbit
-    multiplicities); the result is the dense ``(m, s)`` integer table
-    ``counts[v, q] = μ_q(Γ(v))``.
+    multiplicities) and ``sig`` is ``(m,)`` or ``(R, m)``; the result is
+    the dense ``(..., m, F)`` int64 table ``counts[..., v, f] =
+    μ_{feature_states[f]}(Γ(v))``.
     """
-    m = sig.shape[0]
-    if not m:
-        return np.zeros((0, s), dtype=np.int64)
-    one_hot = sparse.csr_matrix(
-        (np.ones(m, dtype=np.int64), (np.arange(m), sig)), shape=(m, s)
-    )
-    return np.asarray((adj @ one_hot).todense())
-
-
-def stacked_counts(adj, sig: np.ndarray, s: int) -> np.ndarray:
-    """All replicas' count tables via one sparse product → ``(R, m, s)``.
-
-    The per-replica one-hot matrices are stacked horizontally into an
-    ``(m, R·s)`` block matrix ``H`` with ``H[v, r·s + σ_r(v)] = 1``, so
-    ``adj @ H`` yields every replica's count table at once.
-    """
+    nfeat = feature_states.shape[0]
+    if not nfeat:
+        return np.zeros(sig.shape + (0,), dtype=np.int64)
+    if sig.ndim == 1:
+        return adj @ (sig[:, None] == feature_states).astype(np.int64)
     nrep, m = sig.shape
-    onehot = np.zeros((m, nrep * s), dtype=np.int64)
-    rows = np.broadcast_to(np.arange(m), (nrep, m))
-    cols = sig + (np.arange(nrep) * s)[:, None]
-    onehot[rows.ravel(), cols.ravel()] = 1
-    counts = adj @ onehot  # (m, R*s)
-    return np.ascontiguousarray(counts.reshape(m, nrep, s).transpose(1, 0, 2))
+    indicator = (sig.T[:, :, None] == feature_states).reshape(m, nrep * nfeat)
+    counts = adj @ indicator.astype(np.int64)  # (m, R*F)
+    return np.ascontiguousarray(counts.reshape(m, nrep, nfeat).transpose(1, 0, 2))
+
+
+def transition(ir, counts: np.ndarray, sig: np.ndarray, live: np.ndarray,
+               draws) -> np.ndarray:
+    """Successor codes of ``sig`` under ``ir`` given its feature ``counts``.
+
+    ``draws`` is ``None`` exactly for deterministic IRs; ``live`` is
+    ``(m,)`` and broadcasts across replicas (``False`` entries hold).
+    """
+    tables = ir.step_tables
+    key = sig if draws is None else sig * ir.randomness + draws
+    new_sig = np.where(live, tables.lut[key], sig)
+    if tables.clause_programs:
+        flat_new = new_sig.reshape(-1)
+        atoms = AtomTable(
+            ir.atoms, counts.reshape(key.size, counts.shape[-1]),
+            tables.feature_column,
+        )
+        for k, prog in tables.clause_programs:
+            rows = np.flatnonzero((key == k) & live)
+            if rows.size:
+                flat_new[rows] = np.select(
+                    [ctree_bool(tree, atoms, rows) for tree, _ in prog.clauses],
+                    [np.int64(c) for _, c in prog.clauses],
+                    default=np.int64(prog.default),
+                )
+    return new_sig

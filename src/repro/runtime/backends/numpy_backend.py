@@ -1,11 +1,10 @@
-"""The default numpy/scipy backend — the engines' historical hot loops.
+"""The default numpy/scipy backend — the bitwise reference.
 
-This is the code the three array engines used to carry privately, moved
-behind the :class:`~repro.runtime.backends.base.ArrayBackend` seam
-verbatim: sparse one-hot counting (single vector or stacked replicas),
-the lazily memoized atom truth table, and ``np.select`` cascade
-resolution.  It is the ``backend="auto"`` choice and the bitwise
-reference the other backends are held to.
+A thin wrapper over :mod:`repro.runtime.backends.kernels`: neighbour counts
+of the IR's feature states via one CSR × dense product (single vector or
+stacked replicas), then the lookup-table gather plus per-group
+``np.select`` cascade resolution.  It is the ``backend="auto"`` choice and
+the reference the other backends are held to.
 """
 
 from __future__ import annotations
@@ -14,43 +13,25 @@ from typing import Optional
 
 import numpy as np
 
+from repro.runtime.backends import kernels
 from repro.runtime.backends.base import ArrayBackend
-from repro.runtime.backends.kernels import (
-    AtomTable,
-    one_hot_counts,
-    resolve_compiled,
-    stacked_counts,
-)
 
 __all__ = ["NumpyBackend"]
 
 
 class NumpyBackend(ArrayBackend):
-    """Sparse-product counting + ``np.select`` cascades (the default)."""
+    """Feature-state CSR counting + grouped ``np.select`` cascades."""
 
     name = "numpy"
 
-    def neighbour_counts(self, adj, sig: np.ndarray, n_states: int):
-        if sig.ndim == 1:
-            return one_hot_counts(adj, sig, n_states)
-        return stacked_counts(adj, sig, n_states)
+    def neighbour_counts(self, adj, sig: np.ndarray, ir) -> np.ndarray:
+        return kernels.feature_counts(adj, sig, ir.step_tables.feature_states)
 
     def transition(self, ir, counts, sig, live, draws):
-        new_sig = sig.copy()  # isolated nodes keep their state
-        table = AtomTable(ir.atoms, counts, ir.code)
-        if draws is not None:
-            for (qc, i), cprog in ir.table.items():
-                mask = live & (sig == qc) & (draws == i)
-                if mask.any():
-                    resolve_compiled(cprog, table, mask, new_sig)
-        else:
-            for (qc, _draw), cprog in ir.table.items():
-                mask = live & (sig == qc)
-                if mask.any():
-                    resolve_compiled(cprog, table, mask, new_sig)
-        return new_sig
+        return kernels.transition(ir, counts, sig, live, draws)
 
     def step(self, adj, sig: np.ndarray, live: np.ndarray,
              draws: Optional[np.ndarray], ir) -> np.ndarray:
-        counts = self.neighbour_counts(adj, sig, len(ir.alphabet))
+        # both hooks go through ``self`` so subclasses can wrap them
+        counts = self.neighbour_counts(adj, sig, ir)
         return self.transition(ir, counts, sig, live, draws)

@@ -9,10 +9,11 @@ per-step Python overhead R times; this engine evolves all R replicas in one
 stacked numpy computation per step:
 
 * state is an ``(R, n)`` int array;
-* neighbour counts for every replica come from **one** sparse mat-mat
-  product — the per-replica one-hot matrices are stacked horizontally into
-  an ``(n, R·s)`` block matrix ``H`` with ``H[v, r·s + σ_r(v)] = 1``, so
-  ``A @ H`` yields all R count tables at once, reshaped to ``(R, n, s)``;
+* neighbour counts for every replica come from **one** CSR × dense
+  product — the per-replica indicators of the IR's ``F`` feature states
+  (the states some atom reads, Lemma 3.8) are stacked horizontally into an
+  ``(n, R·F)`` matrix ``H`` with ``H[v, r·F + f] = [σ_r(v) = f]``, so
+  ``A @ H`` yields all R count tables at once, reshaped to ``(R, n, F)``;
 * the automaton executes as a :class:`~repro.core.ir.CompiledAutomaton`
   (anything :func:`repro.core.ir.lower` accepts), its clause cascades
   resolving across all replicas simultaneously through the shared
@@ -45,6 +46,7 @@ sequential vectorized runs is measured in ``benchmarks/bench_batched.py``
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
+from functools import cached_property
 from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
@@ -62,7 +64,9 @@ from repro.runtime.churn import ChurnPlan, count_down_events
 from repro.runtime.telemetry import MetricsRegistry
 from repro.runtime.vectorized import (
     _build_churn_mask,
-    _FaultMask,
+    _ChurnMask,
+    _decode_states,
+    _encode_states,
     _lowered_topology,
 )
 
@@ -154,7 +158,6 @@ class BatchedSynchronousEngine:
         self.randomness = self._ir.randomness
         self.alphabet: list = list(self._ir.alphabet)
         self._code = dict(self._ir.code)
-        self._programs = dict(self._ir.source_programs)
 
         inits = self._normalize_init(init, replicas)
         self.replicas = len(inits)
@@ -166,16 +169,19 @@ class BatchedSynchronousEngine:
         self._net = net
         self.adjacency, self._order = _lowered_topology(net, fault_plan)
         self._n = len(self._order)
-        self._degrees = np.asarray(self.adjacency.sum(axis=1)).ravel()
         self.rngs = self._spawn_streams(rng, self.replicas)
         self.time = 0
 
+        union = fault_plan is not None and fault_plan.has_additions
         sigma = np.empty((self.replicas, self._n), dtype=np.int64)
+        encoded: dict = {}  # a shared init is encoded once
         for r, state in enumerate(inits):
-            for idx, v in enumerate(self._order):
-                # not-yet-arrived union rows hold a placeholder until
-                # their node-up event scatters the boot state in
-                sigma[r, idx] = self._code[state[v]] if v in net else 0
+            row = encoded.get(id(state))
+            if row is None:
+                row = encoded[id(state)] = _encode_states(
+                    state, self._order, self._code, net if union else None
+                )
+            sigma[r] = row
         self._sigma = sigma
 
         self._active = np.ones(self.replicas, dtype=bool)
@@ -186,20 +192,28 @@ class BatchedSynchronousEngine:
         if metrics is not None:
             metrics.set_tag("backend", self.backend.name)
         self.last_faults: list = []
-        self._pos0 = {v: i for i, v in enumerate(self._order)}
-        self._fault_mask: Optional[_FaultMask] = None
+        self._fault_mask: Optional[_ChurnMask] = None
         self._live_pos: Optional[np.ndarray] = None  # None ⇒ no fault yet
         self._live_adj = self.adjacency
-        self._live_deg = self._degrees
-        if fault_plan is not None and fault_plan.has_additions:
+        # degree-0 nodes hold their state; cached with the topology
+        self._live = np.asarray(self.adjacency.sum(axis=1)).ravel() > 0
+        if union:
             # arrivals need the eager mask: the t = 0 live view must
             # already exclude not-yet-arrived rows and dead edge entries
             self._fault_mask = _build_churn_mask(
                 net, fault_plan, self.adjacency, self._pos0, self._code
             )
-            self._live_pos, self._live_adj, self._live_deg = (
-                self._fault_mask.live_view()
-            )
+            self._set_live_view()
+
+    @cached_property
+    def _pos0(self) -> dict:
+        """Original column of each node, built on first use (a plan firing
+        or a live-subset decode)."""
+        return {v: i for i, v in enumerate(self._order)}
+
+    def _set_live_view(self) -> None:
+        self._live_pos, self._live_adj, deg = self._fault_mask.live_view()
+        self._live = deg > 0
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -260,15 +274,13 @@ class BatchedSynchronousEngine:
     def _refresh_topology(self, fired: list) -> None:
         """Fold fired topology events into the incremental live masks."""
         if self._fault_mask is None:
-            self._fault_mask = _FaultMask(self.adjacency, self._pos0)
+            self._fault_mask = _ChurnMask(self.adjacency, self._pos0)
         boots = self._fault_mask.apply(fired)
         for i, q in boots:
             # an arriving node boots in its event's declared state, in
             # every replica (the topology trajectory is shared)
             self._sigma[:, i] = self._code[q]
-        self._live_pos, self._live_adj, self._live_deg = (
-            self._fault_mask.live_view()
-        )
+        self._set_live_view()
 
     def step(self) -> np.ndarray:
         """One synchronous step for every active replica.
@@ -306,7 +318,6 @@ class BatchedSynchronousEngine:
             sig = self._sigma[np.ix_(act, self._live_pos)]
         m = sig.shape[1]
         adj = self.adjacency if self._live_pos is None else self._live_adj
-        live = self._live_deg > 0
         if self._probabilistic:
             # per-replica streams, each drawn in the vectorized engine's
             # per-node order, so replica i matches a solo run bitwise
@@ -315,7 +326,7 @@ class BatchedSynchronousEngine:
                 draws[j] = self.backend.draw(self.rngs[r], self.randomness, m)
         else:
             draws = None
-        new_sig = self.backend.step(adj, sig, live, draws, self._ir)
+        new_sig = self.backend.step(adj, sig, self._live, draws, self._ir)
         changed[act] = (new_sig != sig).any(axis=1)
         if met is not None:
             # state-cell changes: at R = 1 this equals the vectorized count
@@ -386,13 +397,9 @@ class BatchedSynchronousEngine:
     # ------------------------------------------------------------------
     def replica_state(self, r: int) -> NetworkState:
         """Decode replica ``r``'s σ (live nodes only) to a :class:`NetworkState`."""
-        row = self._sigma[r]
-        if self._live_pos is None:
-            return NetworkState(
-                {v: self.alphabet[row[i]] for i, v in enumerate(self._order)}
-            )
-        return NetworkState(
-            {v: self.alphabet[row[self._pos0[v]]] for v in self._net}
+        pos0 = None if self._live_pos is None else self._pos0
+        return _decode_states(
+            self._ir, self._sigma[r], self._order, self._net, pos0
         )
 
     @property

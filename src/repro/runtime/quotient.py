@@ -15,13 +15,13 @@ multiplicity of orbit ``j`` in representative ``i``'s neighbourhood.
 Because every node of orbit ``j`` carries the same state, the
 representative's true neighbour-state counts are exactly::
 
-    counts = Q @ one_hot(σ_reps)        # (k × s)
+    counts = Q @ [σ_reps == f]          # (k × F), f over the feature states
 
 so the *same* backend step kernel the full-graph vectorized engine runs
 (:class:`~repro.runtime.backends.ArrayBackend` — atom truth table plus
 cascade resolution) executes unchanged on the quotient — mod-thresh
-counting is exact, not approximated, and a step costs O(k·s + nnz(Q))
-instead of O(n·s + m).  Lifted views (:attr:`state`, observer change
+counting is exact, not approximated, and a step costs O(k·F + nnz(Q))
+instead of O(n·F + m).  Lifted views (:attr:`state`, observer change
 dicts in :func:`repro.runtime.api.run`) decode the representative vector
 back to all ``n`` nodes via the orbit index.
 
@@ -144,7 +144,6 @@ class QuotientSynchronousEngine:
         self.randomness = self._ir.randomness
         self.alphabet: list = list(self._ir.alphabet)
         self._code = dict(self._ir.code)
-        self._programs = dict(self._ir.source_programs)
 
         self._net = net
         self.partition = net.orbit_partition()
@@ -187,7 +186,7 @@ class QuotientSynchronousEngine:
             ),
             shape=(k, k),
         )
-        self._degrees = degrees
+        self._live = degrees > 0  # degree-0 representatives hold
         self._sizes = np.asarray(part.sizes, dtype=np.int64)
 
         sigma = np.empty(k, dtype=np.int64)
@@ -230,14 +229,14 @@ class QuotientSynchronousEngine:
         """One synchronous quotient step; True iff any orbit changed."""
         sig = self._sigma
         k = self._k
-        live = self._degrees > 0
         if self._probabilistic:
             # one shared draw per orbit (see module docstring): the only
             # convention that keeps the trajectory orbit-constant
             draws = self.backend.draw(self.rng, self.randomness, k)
         else:
             draws = None
-        new_sig = self.backend.step(self.quotient, sig, live, draws, self._ir)
+        new_sig = self.backend.step(self.quotient, sig, self._live, draws,
+                                    self._ir)
         met = self.metrics
         if met is None:
             changed = self.backend.any_changed(new_sig, sig)

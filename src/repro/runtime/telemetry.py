@@ -569,12 +569,15 @@ class RunManifest:
     init: Any = field(default=None, repr=False)
     network_nodes: Optional[list] = field(default=None, repr=False)
     network_edges: Optional[list] = field(default=None, repr=False)
-    # outcome, filled by finalize() when the run completes
+    # outcome, filled by finalize() when the run completes; the two
+    # fingerprints are the properties of the same name
     steps: Optional[int] = None
     rng_draws: Optional[int] = None
-    final_fingerprint: Optional[str] = None
-    replica_fingerprints: Optional[list] = None
+    _final_fingerprint: Optional[str] = field(default=None, repr=False)
+    _replica_fingerprints: Optional[list] = field(default=None, repr=False)
     _network: Optional[str] = field(default=None, repr=False)
+    _final_state: Optional[Mapping] = field(default=None, repr=False)
+    _replica_states: Optional[list] = field(default=None, repr=False)
 
     @property
     def network(self) -> Optional[str]:
@@ -594,15 +597,48 @@ class RunManifest:
                 self._network = network_fingerprint(self.net)
         return self._network
 
+    @property
+    def final_fingerprint(self) -> Optional[str]:
+        """:func:`state_fingerprint` of the final state, computed on first
+        read from the snapshot :meth:`finalize` took (hashing every node's
+        repr is a real cost at scale, so runs that never read it skip it).
+        Assignment overrides it."""
+        if self._final_state is not None:
+            self._final_fingerprint = state_fingerprint(self._final_state)
+            self._final_state = None
+        return self._final_fingerprint
+
+    @final_fingerprint.setter
+    def final_fingerprint(self, value: Optional[str]) -> None:
+        self._final_fingerprint = value
+        self._final_state = None
+
+    @property
+    def replica_fingerprints(self) -> Optional[list]:
+        """Per-replica fingerprints of a batched run, computed like
+        :attr:`final_fingerprint`; ``None`` for single-replica runs."""
+        if self._replica_states is not None:
+            self._replica_fingerprints = [
+                state_fingerprint(s) for s in self._replica_states
+            ]
+            self._replica_states = None
+        return self._replica_fingerprints
+
+    @replica_fingerprints.setter
+    def replica_fingerprints(self, value: Optional[list]) -> None:
+        self._replica_fingerprints = value
+        self._replica_states = None
+
     def finalize(self, result) -> None:
-        """Record the completed run's outcome fingerprints."""
+        """Record the completed run's outcome: steps, draws and a snapshot
+        of the final state(s), so a caller mutating ``result.final_state``
+        later cannot change the fingerprints."""
         self.steps = result.steps
         self.rng_draws = result.rng_draws
-        self.final_fingerprint = state_fingerprint(result.final_state)
+        self._final_fingerprint = self._replica_fingerprints = None
+        self._final_state = _snapshot(result.final_state)
         if result.replica_states is not None:
-            self.replica_fingerprints = [
-                state_fingerprint(s) for s in result.replica_states
-            ]
+            self._replica_states = [_snapshot(s) for s in result.replica_states]
 
     def to_json(self) -> str:
         """The serializable summary (live object references omitted).
@@ -612,14 +648,29 @@ class RunManifest:
         :func:`manifest_content_hash` — is stable across processes.
         """
         obj = {
-            f.name: _jsonable(getattr(self, f.name))
-            for f in dataclasses.fields(self)
-            if f.name not in ("automaton", "net", "init", "_network")
+            name: _jsonable(getattr(self, name))
+            for name in _JSON_FIELDS
         }
         obj["network"] = self.network
         if callable(self.until):
             obj["until"] = _callable_name(self.until)
         return json.dumps(obj, default=repr)
+
+
+#: The keys of :meth:`RunManifest.to_json`, in field order (``network``
+#: goes last): the live references and snapshots stay out, and the
+#: private fingerprint fields serialize under their property names.
+_JSON_FIELDS = tuple(
+    f.name.lstrip("_")
+    for f in dataclasses.fields(RunManifest)
+    if f.name not in ("automaton", "net", "init", "_network", "_final_state",
+                      "_replica_states")
+)
+
+
+def _snapshot(state: Mapping) -> Mapping:
+    """A private copy of a node → state assignment."""
+    return state.copy() if hasattr(state, "copy") else dict(state)
 
 
 def capture_manifest(

@@ -1,11 +1,12 @@
 """Vectorized synchronous engine over the shared compiler IR.
 
 The hot loop of a synchronous FSSGA step is, for every node, counting the
-multiplicity of each state among its neighbours.  With states encoded as
-integers ``0..s-1`` and the state vector one-hot encoded, the whole count
-table is a single sparse mat-mat product::
+multiplicity of each state among its neighbours.  By Lemma 3.8 a step only
+needs the counts of the ``F`` feature states some atom reads, so with
+states encoded as integers ``0..s-1`` the whole count table is a single
+CSR × dense product::
 
-    counts = A @ one_hot(σ)        # (n × s), counts[v, q] = μ_q(Γ(v))
+    counts = A @ [σ == f]          # (n × F), counts[v, f] = μ_f(Γ(v))
 
 The engine executes a :class:`~repro.core.ir.CompiledAutomaton` — anything
 :func:`repro.core.ir.lower` accepts (mod-thresh program mappings, automata
@@ -13,9 +14,9 @@ built from programs of any Theorem 3.7 form, rule-based automata declaring
 ``compile_hints``) runs here.  The counts → atom-table → cascade hot loop
 itself lives behind the pluggable
 :class:`~repro.runtime.backends.ArrayBackend` seam (``backend="auto"``
-selects the extracted numpy/scipy code, bitwise-identical to the historical
-inline loops); this module keeps everything around it: CSR construction,
-fault masking, live-node slicing, telemetry and state decoding.  It is
+selects the numpy/scipy kernel, the bitwise reference); this module keeps
+everything around it: CSR construction, state encoding and decoding (one
+array pass each), fault masking, live-node slicing and telemetry.  It is
 benchmarked against the reference interpreter in
 ``benchmarks/bench_engines.py`` (experiment E15) and across backends in
 ``benchmarks/bench_backends.py`` (experiment E21).
@@ -36,19 +37,12 @@ vector speed; dead nodes are excluded from counts, draws and decoding,
 and arrivals are drawn for in reference re-insertion order, so
 probabilistic executions stay bitwise-identical to the reference
 interpreter, which draws once per live node in insertion order.
-
-The proposition/cascade evaluators formerly defined here moved to
-:mod:`repro.runtime.backends.kernels`; the historical private names
-(``_prop_bool``, ``_AtomTable``, ``_ctree_bool``, ``_resolve_compiled``)
-remain as re-export shims for existing importers.  They stay shape-generic
-over any counts tensor whose *last* axis indexes the alphabet, so the
-batched engine reuses them on ``(R, n, s)`` replica stacks with no code
-divergence between the single-replica and batched paths.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
+from functools import cached_property
 from typing import Optional, Union
 
 import numpy as np
@@ -56,19 +50,12 @@ from scipy import sparse
 
 from repro.core.automaton import FSSGA, ProbabilisticFSSGA
 from repro.core.ir import CompiledAutomaton, lower
-from repro.core.modthresh import ModThreshProgram
 from repro.network.graph import Network
 from repro.network.state import NetworkState
 from repro.runtime.backends import (
     DEFAULT_MAX_STEPS,
     ArrayBackend,
     resolve_backend,
-)
-from repro.runtime.backends.kernels import (
-    AtomTable,
-    ctree_bool,
-    prop_bool,
-    resolve_compiled,
 )
 from repro.runtime.churn import (
     EDGE_DOWN,
@@ -83,93 +70,49 @@ from repro.runtime.telemetry import MetricsRegistry, coerce_rng
 
 __all__ = ["VectorizedSynchronousEngine"]
 
-# Historical private names, now shared by all engines via the backends
-# package.  Kept as shims so pre-backend importers keep working.
-_AtomTable = AtomTable
-_prop_bool = prop_bool
-_ctree_bool = ctree_bool
-_resolve_compiled = resolve_compiled
-
 
 # ----------------------------------------------------------------------
 # shared machinery (used by both the single-replica and batched engines)
 # ----------------------------------------------------------------------
-def _normalize_programs(
-    programs: Union[Mapping, FSSGA, ProbabilisticFSSGA],
-    randomness: Optional[int],
-) -> tuple[dict, bool, int]:
-    """Unpack automata/mappings into ``(programs, probabilistic, r)``.
+def _encode_states(
+    init: Mapping, order: list, code: Mapping, net: Optional[Network] = None
+) -> np.ndarray:
+    """``init`` as int codes over the CSR ``order``, in one array pass.
 
-    Retained for callers that want the raw program dict; the engines
-    themselves now go through :func:`repro.core.ir.lower`.
+    Pass ``net`` when the order spans a plan's union topology: rows whose
+    node has not arrived yet hold a placeholder 0 until their ``node-up``
+    event scatters the boot state in.
     """
-    if isinstance(programs, FSSGA):
-        if programs.is_rule_based:
-            raise TypeError(
-                "vectorized engine needs explicit ModThreshPrograms; "
-                "declare compile_hints on rule-based automata (or compile "
-                "them with repro.core.compile) first"
-            )
-        programs = programs._programs  # program dict
-    elif isinstance(programs, ProbabilisticFSSGA):
-        if programs.is_rule_based:
-            raise TypeError(
-                "vectorized engine needs explicit ModThreshPrograms; "
-                "declare compile_hints on rule-based automata (or compile "
-                "them with repro.core.compile) first"
-            )
-        randomness = programs.randomness
-        programs = programs._programs
-
-    keys = list(programs.keys())
-    probabilistic = bool(keys) and isinstance(keys[0], tuple) and (
-        randomness is not None
-    )
-    if probabilistic:
-        if randomness is None or randomness < 1:
-            raise ValueError("probabilistic programs need randomness >= 1")
-        randomness = int(randomness)
+    if net is not None:
+        codes = (code[init[v]] if v in net else 0 for v in order)
+    elif isinstance(init, NetworkState):
+        codes = map(code.__getitem__, init.states_of(order))
     else:
-        randomness = 1
-    return dict(programs), probabilistic, randomness
+        codes = map(code.__getitem__, map(init.__getitem__, order))
+    return np.fromiter(codes, dtype=np.int64, count=len(order))
 
 
-def _build_alphabet(programs: Mapping, probabilistic: bool) -> list:
-    """Own states plus anything the programs can output, sorted by repr."""
-    if probabilistic:
-        own_states = {k[0] for k in programs}
-    else:
-        own_states = set(programs)
-    alphabet = set(own_states)
-    for prog in programs.values():
-        if not isinstance(prog, ModThreshProgram):
-            raise TypeError(f"expected ModThreshProgram, got {type(prog)!r}")
-        alphabet.update(prog.results())
-    return sorted(alphabet, key=repr)
+def _decode_states(
+    ir: CompiledAutomaton,
+    sigma: np.ndarray,
+    order: list,
+    net: Network,
+    pos0: Optional[Mapping] = None,
+) -> NetworkState:
+    """Decode one row of codes to a :class:`NetworkState` in one gather.
 
-
-def _resolve_program(
-    prog: ModThreshProgram,
-    counts: np.ndarray,
-    mask: np.ndarray,
-    new_sigma: np.ndarray,
-    code: Mapping,
-) -> None:
-    """Resolve one source-form cascade for the masked entries into ``new_sigma``.
-
-    ``np.select`` has exactly the first-match semantics of a Definition 3.6
-    cascade, evaluated for every entry of the leading shape at once.
+    Without ``pos0`` every row is a node, in CSR ``order``.  With it (a
+    churned run: some rows are dead or not yet arrived) only the nodes
+    currently in ``net`` are decoded, in ``net``'s order.
     """
-    if not prog.clauses:
-        new_sigma[mask] = code[prog.default]
-        return
-    conds = [prop_bool(p, counts, code) for p, _ in prog.clauses]
-    out = np.select(
-        conds,
-        [np.int64(code[r]) for _, r in prog.clauses],
-        default=np.int64(code[prog.default]),
+    decode = ir.step_tables.decode
+    if pos0 is None:
+        return NetworkState(dict(zip(order, decode[sigma].tolist())))
+    nodes = net.nodes()
+    rows = np.fromiter(
+        map(pos0.__getitem__, nodes), dtype=np.int64, count=len(nodes)
     )
-    new_sigma[mask] = out[mask]
+    return NetworkState(dict(zip(nodes, decode[sigma[rows]].tolist())))
 
 
 class _ChurnMask:
@@ -307,10 +250,6 @@ class _ChurnMask:
         return live, sub, deg
 
 
-#: Historical name for the deletion-only mask, kept for importers.
-_FaultMask = _ChurnMask
-
-
 def _lowered_topology(net: Network, plan: Optional[ChurnPlan]) -> tuple:
     """The construction-time CSR for a (possibly churned) run.
 
@@ -435,7 +374,6 @@ class VectorizedSynchronousEngine:
         self.randomness = self._ir.randomness
         self.alphabet: list = list(self._ir.alphabet)
         self._code = dict(self._ir.code)
-        self._programs = dict(self._ir.source_programs)
 
         if fault_plan is not None:
             fault_plan.ensure_fresh()  # cursor contract: full schedule re-applies
@@ -447,34 +385,38 @@ class VectorizedSynchronousEngine:
         self.rng = coerce_rng(rng)
         self.time = 0
 
-        sigma = np.empty(self._n, dtype=np.int64)
-        for idx, v in enumerate(self._order):
-            # not-yet-arrived union rows hold a placeholder until their
-            # node-up event scatters the boot state in
-            sigma[idx] = self._code[init[v]] if v in net else 0
-        self._sigma = sigma
-        self._degrees = np.asarray(self.adjacency.sum(axis=1)).ravel()
+        union = fault_plan is not None and fault_plan.has_additions
+        self._sigma = _encode_states(
+            init, self._order, self._code, net if union else None
+        )
 
         self.backend = resolve_backend(backend)
         self.metrics = metrics
         if metrics is not None:
             metrics.set_tag("backend", self.backend.name)
         self.last_faults: list = []
-        # original row of each node, for scattering live-subset results back
-        self._pos0 = {v: i for i, v in enumerate(self._order)}
         self._fault_mask: Optional[_ChurnMask] = None
         self._live_pos: Optional[np.ndarray] = None  # None ⇒ no fault yet
         self._live_adj = self.adjacency
-        self._live_deg = self._degrees
-        if fault_plan is not None and fault_plan.has_additions:
+        # degree-0 nodes hold their state; cached with the topology
+        self._live = np.asarray(self.adjacency.sum(axis=1)).ravel() > 0
+        if union:
             # arrivals need the eager mask: the t = 0 live view must
             # already exclude not-yet-arrived rows and dead edge entries
             self._fault_mask = _build_churn_mask(
                 net, fault_plan, self.adjacency, self._pos0, self._code
             )
-            self._live_pos, self._live_adj, self._live_deg = (
-                self._fault_mask.live_view()
-            )
+            self._set_live_view()
+
+    @cached_property
+    def _pos0(self) -> dict:
+        """Original row of each node, built on first use (a plan firing or
+        a live-subset decode)."""
+        return {v: i for i, v in enumerate(self._order)}
+
+    def _set_live_view(self) -> None:
+        self._live_pos, self._live_adj, deg = self._fault_mask.live_view()
+        self._live = deg > 0
 
     # ------------------------------------------------------------------
     @property
@@ -489,24 +431,15 @@ class VectorizedSynchronousEngine:
         """Nodes currently alive (== rng draws consumed per step)."""
         return self._n if self._live_pos is None else len(self._live_pos)
 
-    def _one_hot(self) -> sparse.csr_matrix:
-        n = self._n
-        data = np.ones(n, dtype=np.int64)
-        return sparse.csr_matrix(
-            (data, (np.arange(n), self._sigma)), shape=(n, len(self.alphabet))
-        )
-
     def _refresh_topology(self, fired: list) -> None:
         """Fold fired topology events into the incremental live masks."""
         if self._fault_mask is None:
-            self._fault_mask = _FaultMask(self.adjacency, self._pos0)
+            self._fault_mask = _ChurnMask(self.adjacency, self._pos0)
         boots = self._fault_mask.apply(fired)
         for i, q in boots:
             # an arriving node boots in its event's declared state
             self._sigma[i] = self._code[q]
-        self._live_pos, self._live_adj, self._live_deg = (
-            self._fault_mask.live_view()
-        )
+        self._set_live_view()
 
     def step(self) -> bool:
         """One synchronous step; returns True iff any live node changed."""
@@ -518,20 +451,17 @@ class VectorizedSynchronousEngine:
                 self._refresh_topology(fired)
 
         if self._live_pos is None:
-            sig = self._sigma
-            adj, deg = self.adjacency, self._degrees
+            sig, adj = self._sigma, self.adjacency
         else:
-            sig = self._sigma[self._live_pos]
-            adj, deg = self._live_adj, self._live_deg
+            sig, adj = self._sigma[self._live_pos], self._live_adj
         m = sig.shape[0]
-        live = deg > 0
         if self._probabilistic:
             # one draw per live node, matching the reference interpreter's
             # per-node draw order (insertion order == CSR row order)
             draws = self.backend.draw(self.rng, self.randomness, m)
         else:
             draws = None
-        new_sig = self.backend.step(adj, sig, live, draws, self._ir)
+        new_sig = self.backend.step(adj, sig, self._live, draws, self._ir)
         met = self.metrics
         if met is None:
             changed = self.backend.any_changed(new_sig, sig)
@@ -577,13 +507,8 @@ class VectorizedSynchronousEngine:
     @property
     def state(self) -> NetworkState:
         """Decode the current σ (live nodes only) to a :class:`NetworkState`."""
-        if self._live_pos is None:
-            return NetworkState(
-                {v: self.alphabet[self._sigma[i]] for i, v in enumerate(self._order)}
-            )
-        return NetworkState(
-            {v: self.alphabet[self._sigma[self._pos0[v]]] for v in self._net}
-        )
+        pos0 = None if self._live_pos is None else self._pos0
+        return _decode_states(self._ir, self._sigma, self._order, self._net, pos0)
 
     def state_counts(self) -> dict:
         """Multiplicity of each alphabet state over live nodes (vectorized)."""

@@ -594,6 +594,41 @@ class TestManifestReplay:
         h2 = manifest_content_hash(make().manifest)
         assert h1 == h2 and len(h1) == 64
 
+    def test_fingerprint_ignores_later_mutation_of_the_result(self):
+        net, programs, init = _kernel_workload(8)
+        res = run(programs, net, init, randomness=2, rng=5, until=4)
+        want = state_fingerprint(res.final_state)
+        for v in res.final_state:
+            res.final_state[v] = election.K_OUT
+        assert res.manifest.final_fingerprint == want
+        replayed = replay(res.manifest)
+        assert state_fingerprint(replayed.final_state) == want
+
+    @pytest.mark.parametrize("replicas, golden", [
+        (None, "b37187d340f2ef2a4c53dae8e698df732d0314e4d6c818624291988cdb81cfca"),
+        (3, "aca1a590861ce2f40e28ba632841dfbd53414a633622648dba8a813dd66f2d07"),
+    ])
+    def test_manifest_content_hash_is_pinned(self, replicas, golden):
+        # the campaign store keeps these hashes across releases: the lazy
+        # fingerprints must serialize exactly as the eager ones did
+        from repro.runtime.telemetry import manifest_content_hash
+
+        net, programs, init = _kernel_workload(16)
+        res = run(programs, net, init, randomness=2, rng=5, replicas=replicas,
+                  until=election.kernel_unique_survivor)
+        res.manifest.versions = {  # the library versions vary by host
+            "python": "3", "numpy": "2", "scipy": "1", "repro": "1.0.0",
+        }
+        assert manifest_content_hash(res.manifest) == golden
+
+    def test_replay_rejects_tampered_replica_fingerprints(self):
+        net, programs, init = _kernel_workload(8)
+        res = run(programs, net, init, randomness=2, rng=5, replicas=3,
+                  until=4)
+        res.manifest.replica_fingerprints = ["0" * 64] * 3
+        with pytest.raises(ReplayMismatchError, match="per-replica"):
+            replay(res.manifest)
+
     def test_manifest_content_hash_is_content_sensitive(self):
         from repro.runtime.telemetry import manifest_content_hash
 
