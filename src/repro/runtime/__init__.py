@@ -10,18 +10,22 @@
 * :mod:`repro.runtime.faults` — decreasing benign fault plans (node/edge
   deletions at scheduled times), now the deletion-only subclass of the
   churn layer.
-* :mod:`repro.runtime.vectorized` — a numpy/scipy synchronous engine for
-  mod-thresh automata (one sparse mat-mat product per step).
+* :mod:`repro.runtime.engine` — the one numpy/scipy synchronous array
+  engine for mod-thresh automata (one sparse mat-mat product per step): a
+  topology operator (full or quotient CSR) times R replicas, plus the
+  termination policy shared with :func:`run`.
+* :mod:`repro.runtime.vectorized` — the array engine on the full graph
+  with one replica.
 * :mod:`repro.runtime.backends` — the pluggable array-backend layer under
   the engines: one shared counts → atoms → cascades step kernel with
   numpy (default), array-API and optional numba-JIT implementations, all
   bitwise-identical.
-* :mod:`repro.runtime.batched` — R independent replicas of one automaton
-  evolved in a single stacked computation per step, with spawned
-  per-replica RNG streams and per-replica quiescence masks.
-* :mod:`repro.runtime.quotient` — the symmetry-quotient engine: one
-  simulated representative per automorphism orbit, lifted back to full
-  states, at n/k cost on networks with a declared group.
+* :mod:`repro.runtime.batched` — the array engine with R independent
+  replicas of one automaton, spawned per-replica RNG streams and
+  per-replica active masks.
+* :mod:`repro.runtime.quotient` — the array engine on the symmetry
+  quotient: one simulated representative per automorphism orbit, lifted
+  back to full states, at n/k cost on networks with a declared group.
 * :mod:`repro.runtime.trace` — execution traces for replay and assertions.
 * :mod:`repro.runtime.telemetry` — metrics registry, the typed event
   stream every trace/observer is a view over, and run manifests with

@@ -1,11 +1,14 @@
 """One front door for every execution engine.
 
-Theorem 3.7 makes the three synchronous engines interchangeable on
-mod-thresh automata; this module is where the codebase exploits it.
-:func:`run` accepts any automaton, picks the fastest engine that can
-execute it (``engine="auto"``), applies one unified termination policy,
-streams per-step events to pluggable :class:`StepObserver` instances, and
-returns a structured :class:`RunResult`.
+Theorem 3.7 makes the synchronous engines interchangeable on mod-thresh
+automata; this module is where the codebase exploits it.  :func:`run`
+accepts any automaton, picks the fastest engine that can execute it
+(``engine="auto"``), applies one termination policy
+(:func:`repro.runtime.engine.drive`), streams per-step events to
+pluggable :class:`StepObserver` instances, and returns a structured
+:class:`RunResult`.  Every array engine is one
+:class:`~repro.runtime.engine.SynchronousArrayEngine` (a topology
+operator times R replicas), so one driver runs all three array labels.
 
 Engine selection under ``engine="auto"`` is capability negotiation over
 the shared compiler IR (:mod:`repro.core.ir`), not isinstance checks:
@@ -17,7 +20,7 @@ the shared compiler IR (:mod:`repro.core.ir`), not isinstance checks:
   :class:`~repro.runtime.batched.BatchedSynchronousEngine` when
   ``replicas=R`` is passed.  A ``fault_plan`` — including a general
   :class:`~repro.runtime.churn.ChurnPlan` with ``node-up``/``edge-up``
-  arrivals — no longer forces a fallback: the plan is lowered into
+  arrivals — does not force a fallback: the plan is lowered into
   per-step live-node masks (arrivals via the plan's union topology) and
   the churned run stays vectorized;
 * automata the compiler rejects (no ``compile_hints``, untraced
@@ -25,19 +28,19 @@ the shared compiler IR (:mod:`repro.core.ir`), not isinstance checks:
   ``docs/model.md`` for the genuine-fallback list) run on the reference
   :class:`~repro.runtime.simulator.SynchronousSimulator`;
 * a **deterministic** lowerable automaton on a network with a declared
-  automorphism group (:meth:`~repro.network.graph.Network.declare_symmetry`),
-  an orbit-constant initial state and no fault plan goes to the
+  automorphism group (:meth:`~repro.network.graph.Network.declare_symmetry`)
+  is tried on the
   :class:`~repro.runtime.quotient.QuotientSynchronousEngine`, which
   simulates one representative per orbit and lifts the trajectory back to
-  full-state views — bitwise identical results at n/k cost.  Any broken
-  precondition (fault plan, non-orbit-constant init, missing or stale
-  group) falls back to the full-graph path;
-  :func:`~repro.runtime.api._quotient_blocker` names the actual blocker,
-  and ``engine="quotient"`` surfaces it as a structured
-  :class:`~repro.core.ir.QuotientLoweringError`.  Probabilistic automata
-  are *never* auto-quotiented (the shared per-orbit draw convention is a
-  different stochastic process — symmetry can never break); request
-  ``engine="quotient"`` to opt in;
+  full-state views — bitwise identical results at n/k cost.  Its
+  constructor checks the remaining preconditions once
+  (:func:`~repro.runtime.quotient.quotient_blocker`: no fault plan, a
+  group that still verifies, an orbit-constant init); a broken one sends
+  ``auto`` to the full-graph path, and ``engine="quotient"`` surfaces it
+  as a structured :class:`~repro.core.ir.QuotientLoweringError`.
+  Probabilistic automata are *never* auto-quotiented (the shared
+  per-orbit draw convention is a different stochastic process — symmetry
+  can never break); request ``engine="quotient"`` to opt in;
 * ``engine="reference"`` forces the reference interpreter everywhere (the
   conformance escape hatch): for a shared seed the reference and
   vectorized paths produce bitwise-identical trajectories, probabilistic
@@ -51,13 +54,15 @@ a pinned backend that cannot run raises
 :class:`~repro.core.ir.BackendLoweringError` naming the blocker.
 
 Termination policy (one convention for every engine — ``RunResult.steps``
-always counts ``step()`` calls actually executed):
+always counts ``step()`` calls actually executed, the longest-running
+replica's for batched runs):
 
 * ``until=k`` (an int): exactly ``k`` synchronous steps; ``steps == k``.
 * ``until="stable"``: run to a fixed point.  The final no-change step *is*
   executed and counted (so a network that is born stable reports
   ``steps == 1``), matching the engines' ``run_until_stable``.  With a
   ``fault_plan``, stability additionally requires the plan exhausted.
+  With ``replicas=R`` each replica stops after its own no-change step.
 * ``until=predicate`` (a callable ``NetworkState -> bool``): the predicate
   is checked *before* each step, so an initially satisfied predicate
   reports ``steps == 0``.  With ``replicas=R`` the predicate is evaluated
@@ -72,7 +77,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Callable, Optional, Protocol, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -86,7 +91,6 @@ from repro.core.ir import (
 )
 from repro.network.graph import Network
 from repro.network.state import NetworkState
-from repro.network.symmetry import SymmetryError
 from repro.runtime.backends import (
     BACKENDS,
     DEFAULT_MAX_STEPS,
@@ -95,6 +99,7 @@ from repro.runtime.backends import (
 )
 from repro.runtime.batched import BatchedSynchronousEngine
 from repro.runtime.churn import ChurnPlan
+from repro.runtime.engine import SynchronousArrayEngine, drive
 from repro.runtime.quotient import QuotientSynchronousEngine
 from repro.runtime.simulator import SynchronousSimulator
 from repro.runtime.telemetry import (
@@ -110,7 +115,6 @@ from repro.runtime.trace import Trace
 from repro.runtime.vectorized import VectorizedSynchronousEngine
 
 __all__ = [
-    "Engine",
     "RunResult",
     "StepObserver",
     "TraceObserver",
@@ -125,18 +129,6 @@ Automaton = Union[FSSGA, ProbabilisticFSSGA, Mapping]
 Until = Union[int, str, Callable[[NetworkState], bool]]
 
 ENGINES = ("auto", "reference", "vectorized", "batched", "quotient")
-
-
-class Engine(Protocol):
-    """What :func:`run` needs from an execution engine: one synchronous
-    ``step()`` plus a decodable ``state``.  All three engines satisfy it
-    structurally; the front door adapts their differing step/termination
-    signatures to the unified policy."""
-
-    def step(self): ...
-
-    @property
-    def state(self) -> NetworkState: ...
 
 
 # ----------------------------------------------------------------------
@@ -315,118 +307,37 @@ def supports_vectorized(
     return _negotiate(automaton, randomness)[0]
 
 
-def _quotient_blocker(
-    automaton: Automaton,
-    net: Optional[Network],
-    init,
-    replicas: Optional[int],
-    fault_plan: Optional[ChurnPlan],
-    randomness: Optional[int],
-    *,
-    allow_probabilistic: bool,
-) -> Optional[tuple[str, str]]:
-    """Why this run cannot take the quotient path, or ``None`` if it can.
-
-    Returns ``(blocker_tag, message)`` naming the *actual* obstruction —
-    the same preconditions
-    :class:`~repro.runtime.quotient.QuotientSynchronousEngine` re-checks
-    at construction.  ``allow_probabilistic=False`` additionally blocks
-    probabilistic automata: the quotient's shared per-orbit draws are a
-    different stochastic process from the full-graph engines'
-    one-draw-per-node convention (symmetry can never break), so ``auto``
-    never switches a probabilistic run's semantics silently; opting in via
-    ``engine="quotient"`` is explicit.
-    """
-    lowerable, reason = _negotiate(automaton, randomness)
-    if not lowerable:
-        return (
-            "not-lowerable",
-            f"the automaton does not lower to the engine IR: {reason}",
-        )
-    if replicas is not None:
-        return (
-            "replicas",
-            f"replicas={replicas} needs the batched engine; the quotient "
-            f"path is single-replica",
-        )
-    if fault_plan is not None and len(fault_plan) > 0:
-        if getattr(fault_plan, "has_additions", False):
-            return (
-                "churn-plan",
-                "churn plans break symmetry: an arrival (node-up/edge-up) "
-                "changes the node or edge set, so no declared automorphism "
-                "group can remain valid across the run",
-            )
-        return (
-            "fault-plan",
-            "fault plans break symmetry: a deletion distinguishes the "
-            "faulted node's orbit members",
-        )
-    if net is None or net.symmetry is None:
-        return (
-            "no-group",
-            "network declares no automorphism group; call "
-            "net.declare_symmetry(...) to enable the quotient path",
-        )
-    if lower(automaton, randomness).probabilistic and not allow_probabilistic:
-        return (
-            "probabilistic",
-            "shared per-orbit draws change the stochastic process (symmetry "
-            "can never break), so auto keeps probabilistic runs on a "
-            "full-graph engine; request engine='quotient' to opt in",
-        )
-    try:
-        net.symmetry.verify(net)
-    except SymmetryError as exc:
-        return (
-            "stale-group",
-            f"declared automorphism group is stale for the current "
-            f"topology: {exc}",
-        )
-    if not isinstance(init, Mapping):
-        return (
-            "init-form",
-            f"quotient runs need a single NetworkState init, got "
-            f"{type(init).__name__}",
-        )
-    part = net.orbit_partition()
-    for v in net:
-        rep = part.reps[part.orbit_of[v]]
-        if init[v] != init[rep]:
-            return (
-                "init-not-orbit-constant",
-                f"initial state is not orbit-constant: node {v!r} has state "
-                f"{init[v]!r} but its orbit representative {rep!r} has "
-                f"{init[rep]!r}",
-            )
-    return None
-
-
 def _select_engine(
     engine: str,
     automaton: Automaton,
     replicas: Optional[int],
-    fault_plan: Optional[ChurnPlan],
     randomness: Optional[int] = None,
     net: Optional[Network] = None,
-    init=None,
 ) -> str:
+    """The engine label for this call.
+
+    ``"quotient"`` is only a candidate here: the quotient engine's
+    constructor checks the network, the init and the plan, and
+    :func:`run` falls back (or, when pinned, raises) on its blocker.
+    """
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; choose from {ENGINES}")
     lowerable, reason = _negotiate(automaton, randomness)
     if engine == "quotient":
-        blocked = _quotient_blocker(
-            automaton, net, init, replicas, fault_plan, randomness,
-            allow_probabilistic=True,
+        if not lowerable:
+            blocked = ("not-lowerable",
+                       f"the automaton does not lower to the engine IR: {reason}")
+        elif replicas is not None:
+            blocked = ("replicas",
+                       f"replicas={replicas} needs the batched engine; the "
+                       f"quotient path is single-replica")
+        else:
+            return "quotient"
+        raise QuotientLoweringError(
+            f"engine 'quotient' cannot execute this run: {blocked[1]}",
+            blocker=blocked[0],
         )
-        if blocked is not None:
-            tag, msg = blocked
-            raise QuotientLoweringError(
-                f"engine 'quotient' cannot execute this run: {msg}",
-                blocker=tag,
-            )
-        chosen = "quotient"
-    elif engine == "auto":
+    if engine == "auto":
         if not lowerable:
             chosen = "reference"
         elif replicas is not None:
@@ -434,11 +345,9 @@ def _select_engine(
         elif (
             net is not None
             and net.symmetry is not None
-            and _quotient_blocker(
-                automaton, net, init, replicas, fault_plan, randomness,
-                allow_probabilistic=False,
-            )
-            is None
+            # shared per-orbit draws change the stochastic process, so auto
+            # never switches a probabilistic run's semantics silently
+            and not lower(automaton, randomness).probabilistic
         ):
             chosen = "quotient"
         else:
@@ -512,7 +421,7 @@ def _as_reference_automaton(
 
     Anything that lowers executes its compiled form
     (:meth:`~repro.core.ir.CompiledAutomaton.as_automaton`, result-only
-    states padded with hold programs), so all three engines run the very
+    states padded with hold programs), so every engine runs the very
     same IR-derived programs; only automata the compiler rejects run their
     raw Python rule."""
     try:
@@ -524,42 +433,8 @@ def _as_reference_automaton(
 
 
 # ----------------------------------------------------------------------
-# the unified step driver
+# the step drivers
 # ----------------------------------------------------------------------
-def _drive(
-    step_once: Callable[[], bool],
-    current_state: Callable[[], NetworkState],
-    quiescent_ok: Callable[[], bool],
-    until: Until,
-    max_steps: int,
-) -> tuple[int, bool]:
-    """Run ``step_once`` under the unified termination policy; returns
-    ``(steps_executed, converged)``.  ``step_once`` returns whether any
-    node changed."""
-    if isinstance(until, bool):
-        raise TypeError("until must be an int, 'stable', or a predicate")
-    if isinstance(until, int):
-        if until < 0:
-            raise ValueError("until must be >= 0")
-        for _ in range(until):
-            step_once()
-        return until, True
-    if until == "stable":
-        for steps in range(1, max_steps + 1):
-            if not step_once() and quiescent_ok():
-                return steps, True
-        raise RuntimeError(f"no fixed point within {max_steps} steps")
-    if callable(until):
-        for steps in range(max_steps):
-            if until(current_state()):
-                return steps, True
-            step_once()
-        if until(current_state()):
-            return max_steps, True
-        raise RuntimeError(f"predicate not reached within {max_steps} steps")
-    raise TypeError(f"until must be an int, 'stable', or a predicate; got {until!r}")
-
-
 def _run_reference(
     automaton, net, init, until, max_steps, randomness, rng, fault_plan,
     observers, metrics,
@@ -571,186 +446,71 @@ def _run_reference(
         metrics=metrics,
     )
     probabilistic = isinstance(automaton, ProbabilisticFSSGA)
-    draws = [0]
+    draws = 0
     change_counts: list[int] = []
 
     def step_once() -> bool:
+        nonlocal draws
         changes = sim.step()
         if probabilistic:
-            draws[0] += len(sim.net)
+            draws += len(sim.net)
         change_counts.append(len(changes))
         for ob in observers:
             ob.on_step(sim.time - 1, changes, capture.last_faults)
         return bool(changes)
 
-    def quiescent_ok() -> bool:
-        return fault_plan is None or fault_plan.exhausted
-
-    steps, converged = _drive(
-        step_once, lambda: sim.state, quiescent_ok, until, max_steps
+    steps = drive(
+        step_once, until, max_steps, np.ones(1, dtype=bool), fault_plan,
+        lambda r: until(sim.state),
     )
-    return sim.state, steps, converged, draws[0], change_counts, None, None
+    return sim.state, steps, draws, change_counts, None, None
 
 
-def _run_vectorized(
-    automaton, net, init, until, max_steps, randomness, rng, fault_plan,
-    observers, metrics, backend,
-):
-    eng = VectorizedSynchronousEngine(
-        net, automaton, init, randomness=randomness, rng=rng,
-        fault_plan=fault_plan, metrics=metrics, backend=backend,
-    )
-    draws = [0]
-    change_counts: list[int] = []
-
-    def step_once() -> bool:
-        old = eng._sigma  # step() replaces the array; this snapshot stays valid
-        changed = eng.step()
-        if eng._probabilistic:
-            draws[0] += eng.live_count  # one draw per live node, as reference
-        diff = np.flatnonzero(eng._sigma != old)
-        change_counts.append(len(diff))
-        if observers:
-            changes = {
-                eng._order[i]: (eng.alphabet[old[i]], eng.alphabet[eng._sigma[i]])
-                for i in diff
-            }
-            for ob in observers:
-                ob.on_step(eng.time - 1, changes, eng.last_faults)
-        return changed
-
-    def quiescent_ok() -> bool:
-        return fault_plan is None or fault_plan.exhausted
-
-    steps, converged = _drive(
-        step_once, lambda: eng.state, quiescent_ok, until, max_steps
-    )
-    return eng.state, steps, converged, draws[0], change_counts, None, None
-
-
-def _run_quotient(
-    automaton, net, init, until, max_steps, randomness, rng, fault_plan,
-    observers, metrics, backend,
-):
-    eng = QuotientSynchronousEngine(
-        net, automaton, init, randomness=randomness, rng=rng,
-        fault_plan=fault_plan, metrics=metrics, backend=backend,
-    )
-    part = eng.partition
-    sizes = np.asarray(part.sizes, dtype=np.int64)
-    members: Optional[list[list]] = None
-    if observers:
-        members = [[] for _ in part.reps]
-        for v, j in part.orbit_of.items():
-            members[j].append(v)
-    draws = [0]
-    change_counts: list[int] = []
-
-    def step_once() -> bool:
-        old = eng._sigma  # step() replaces the array; this snapshot stays valid
-        changed = eng.step()
-        if eng._probabilistic:
-            draws[0] += eng.orbit_count  # one shared draw per orbit
-        diff = np.flatnonzero(eng._sigma != old)
-        # lifted change count: every member of a changed orbit changed, so
-        # this equals the full-graph engines' per-step counts exactly
-        change_counts.append(int(sizes[diff].sum()))
-        if observers:
-            changes = {}
-            for i in diff:
-                pair = (eng.alphabet[old[i]], eng.alphabet[eng._sigma[i]])
-                for v in members[i]:
-                    changes[v] = pair
-            for ob in observers:
-                ob.on_step(eng.time - 1, changes, eng.last_faults)
-        return changed
-
-    steps, converged = _drive(
-        step_once, lambda: eng.state, lambda: True, until, max_steps
-    )
-    return eng.state, steps, converged, draws[0], change_counts, None, None
-
-
-def _run_batched(
-    automaton, net, init, until, max_steps, replicas, randomness, rng,
-    fault_plan, observers, metrics, backend,
-):
-    eng = BatchedSynchronousEngine(
-        net, automaton, init, replicas, randomness=randomness, rng=rng,
-        fault_plan=fault_plan, metrics=metrics, backend=backend,
-    )
-    draws = [0]
+def _run_array(eng: SynchronousArrayEngine, batched: bool, until, max_steps,
+               observers):
+    """Drive any array engine.  A batched run reports per-replica changes
+    (``{replica: True}``, counted in replicas); a single-replica run
+    reports node changes lifted through the topology's row map."""
+    members = eng._row_members() if observers and not batched else None
+    draws = 0
     change_counts: list[int] = []
 
     def step_once() -> np.ndarray:
-        active_before = int(eng._active.sum())
-        changed = eng.step()
+        nonlocal draws
+        old = eng._sigmas  # step() replaces the array; this snapshot stays valid
+        active = int(np.count_nonzero(eng._active))
+        changed = eng._step()
         if eng._probabilistic:
-            # live_count reflects faults fired at the top of this step
-            draws[0] += active_before * eng.live_count
-        change_counts.append(int(changed.sum()))
-        if observers:
-            rep_changes = {int(r): True for r in np.flatnonzero(changed)}
-            for ob in observers:
-                ob.on_step(eng.time - 1, rep_changes, eng.last_faults)
+            # one draw per live row per active replica; live_count reflects
+            # topology events fired at the top of this step
+            draws += active * eng.live_count
+        if batched:
+            rows = np.flatnonzero(changed)
+            change_counts.append(len(rows))
+            changes = dict.fromkeys(rows.tolist(), True)
+        else:
+            new = eng._sigmas[0]
+            rows = np.flatnonzero(new != old[0])
+            # lifted: every node a changed row stands for changed
+            change_counts.append(
+                len(rows) if eng._sizes is None else int(eng._sizes[rows].sum())
+            )
+            changes = {
+                v: (eng.alphabet[old[0, i]], eng.alphabet[new[i]])
+                for i in rows for v in members[i]
+            } if observers else None
+        for ob in observers:
+            ob.on_step(eng.time - 1, changes, eng.last_faults)
         return changed
 
-    if isinstance(until, bool):
-        raise TypeError("until must be an int, 'stable', or a predicate")
-    if isinstance(until, int):
-        if until < 0:
-            raise ValueError("until must be >= 0")
-        for _ in range(until):
-            step_once()
-        converged = True
-    elif until == "stable":
-        # mirror BatchedSynchronousEngine.run_until_stable: a replica is
-        # deactivated after its first no-change step (which is counted),
-        # but never while fault events are still pending.
-        for _ in range(max_steps):
-            if not eng._active.any():
-                break
-            changed = step_once()
-            if fault_plan is None or fault_plan.exhausted:
-                eng._active &= changed
-        if eng._active.any():
-            raise RuntimeError(
-                f"{int(eng._active.sum())}/{eng.replicas} replicas reached "
-                f"no fixed point within {max_steps} steps"
-            )
-        converged = True
-    elif callable(until):
-        # predicate checked before each step, per replica; satisfied
-        # replicas deactivate and stop evolving/drawing.
-        for remaining in range(max_steps, -1, -1):
-            for r in np.flatnonzero(eng._active):
-                if until(eng.replica_state(int(r))):
-                    eng._active[r] = False
-            if not eng._active.any():
-                break
-            if remaining == 0:
-                raise RuntimeError(
-                    f"{int(eng._active.sum())}/{eng.replicas} replicas did "
-                    f"not satisfy the predicate within {max_steps} steps"
-                )
-            step_once()
-        converged = True
-    else:
-        raise TypeError(
-            f"until must be an int, 'stable', or a predicate; got {until!r}"
-        )
-
-    states = eng.states
-    rounds = eng.rounds
-    return (
-        states[0],
-        int(rounds.max()),
-        converged,
-        draws[0],
-        change_counts,
-        states,
-        rounds,
+    steps = drive(
+        step_once, until, max_steps, eng._active, eng.fault_plan,
+        lambda r: until(eng.replica_state(r)),
     )
+    if batched:
+        states = eng.states
+        return states[0], steps, draws, change_counts, states, eng.rounds
+    return eng.replica_state(0), steps, draws, change_counts, None, None
 
 
 # ----------------------------------------------------------------------
@@ -835,11 +595,26 @@ def run(
     observers = tuple(observers)
     cache_before = lowering_cache_info() if metrics is not None else None
     csr_before = net.csr_rebuilds if metrics is not None else 0
-    chosen = _select_engine(
-        engine, automaton, replicas, fault_plan, randomness, net, init
-    )
+    chosen = _select_engine(engine, automaton, replicas, randomness, net)
     backend_obj = _select_backend(backend, chosen, engine)
     backend_name = backend_obj.name if backend_obj is not None else None
+    start = perf_counter()
+    eng = None
+    if chosen == "quotient":
+        # built before the manifest: it neither draws nor spawns, and its
+        # constructor is where the quotient preconditions are checked
+        try:
+            eng = QuotientSynchronousEngine(
+                net, automaton, init, randomness=randomness, rng=rng,
+                fault_plan=fault_plan, metrics=metrics, backend=backend_obj,
+            )
+        except QuotientLoweringError as exc:
+            if engine == "quotient":
+                raise QuotientLoweringError(
+                    f"engine 'quotient' cannot execute this run: {exc}",
+                    blocker=exc.blocker,
+                ) from exc
+            chosen = "vectorized"
     # captured before the engine consumes rng or faults mutate net — both
     # are snapshotted by value inside the manifest
     manifest = capture_manifest(
@@ -849,7 +624,6 @@ def run(
     )
     if fault_plan is not None:
         fault_plan.ensure_fresh()  # cursor contract: full schedule re-applies
-    start = perf_counter()
     for ob in observers:
         ob.on_run_start(net, init if isinstance(init, NetworkState) else init[0])
     if chosen == "reference":
@@ -857,22 +631,19 @@ def run(
             automaton, net, init, until, max_steps, randomness, rng, fault_plan,
             observers, metrics,
         )
-    elif chosen == "vectorized":
-        out = _run_vectorized(
-            automaton, net, init, until, max_steps, randomness, rng, fault_plan,
-            observers, metrics, backend_obj,
-        )
-    elif chosen == "quotient":
-        out = _run_quotient(
-            automaton, net, init, until, max_steps, randomness, rng, fault_plan,
-            observers, metrics, backend_obj,
-        )
     else:
-        out = _run_batched(
-            automaton, net, init, until, max_steps, replicas, randomness, rng,
-            fault_plan, observers, metrics, backend_obj,
-        )
-    final_state, steps, converged, draws, change_counts, states, rounds = out
+        if chosen == "batched":
+            eng = BatchedSynchronousEngine(
+                net, automaton, init, replicas, randomness=randomness, rng=rng,
+                fault_plan=fault_plan, metrics=metrics, backend=backend_obj,
+            )
+        elif chosen == "vectorized":
+            eng = VectorizedSynchronousEngine(
+                net, automaton, init, randomness=randomness, rng=rng,
+                fault_plan=fault_plan, metrics=metrics, backend=backend_obj,
+            )
+        out = _run_array(eng, chosen == "batched", until, max_steps, observers)
+    final_state, steps, draws, change_counts, states, rounds = out
     wall_time = perf_counter() - start
     if metrics is not None:
         cache_after = lowering_cache_info()
@@ -889,7 +660,7 @@ def run(
         final_state=final_state,
         steps=steps,
         engine=chosen,
-        converged=converged,
+        converged=True,  # an open-ended run that does not converge raises
         wall_time=wall_time,
         rng_draws=draws,
         change_counts=change_counts,

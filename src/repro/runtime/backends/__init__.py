@@ -1,11 +1,12 @@
 """Pluggable array backends: one shared step kernel, many substrates.
 
-The three array engines (vectorized, batched, quotient) all execute the
-same :class:`~repro.core.ir.CompiledAutomaton` IR, and their per-step hot
-path decomposes into three primitives — neighbour counts of the IR's
-feature states via a CSR / quotient-CSR product, atom-table evaluation,
-cascade-table state transition — plus RNG-draw and reduction hooks.  This package owns that
-seam:
+The array engine (:mod:`repro.runtime.engine`, behind the vectorized,
+batched and quotient labels) executes a
+:class:`~repro.core.ir.CompiledAutomaton` IR, and its per-step hot path
+decomposes into three primitives — neighbour counts of the IR's feature
+states via a CSR / quotient-CSR product, atom-table evaluation,
+cascade-table state transition — plus an RNG-draw hook.  This package
+owns that seam:
 
 * :class:`~repro.runtime.backends.base.ArrayBackend` — the contract
   (:meth:`~repro.runtime.backends.base.ArrayBackend.step` and friends);

@@ -2,8 +2,7 @@
 
 A backend owns the three hot primitives of a synchronous FSSGA step —
 neighbour counting of the states the atoms read, atom-table evaluation
-and cascade-table state transition — plus the RNG-draw and reduction
-hooks around them.  Engines own everything else: CSR construction, fault
+and cascade-table state transition — plus the RNG-draw hook.  Engines own everything else: CSR construction, fault
 masking, live-node slicing, replica bookkeeping, telemetry and state
 decoding.  The boundary is numpy: engines hand the backend numpy arrays
 (plus the scipy CSR adjacency) and get a numpy state vector back, so a
@@ -12,8 +11,8 @@ kernel, an accelerator array library) as long as the returned codes are
 exact.
 
 All hooks are shape-generic over the leading axes: ``sig`` is ``(m,)``
-for the vectorized and quotient engines and ``(R, m)`` for the batched
-engine, and ``live`` is ``(m,)``, broadcasting across replicas.
+or ``(R, m)`` (the array engine always passes its ``(R, m)`` replica
+stack), and ``live`` is ``(m,)``, broadcasting across replicas.
 """
 
 from __future__ import annotations
@@ -83,7 +82,7 @@ class ArrayBackend:
         """
         raise NotImplementedError(f"{self.name} backend only exposes step()")
 
-    # -- RNG and reduction hooks ----------------------------------------
+    # -- RNG hook -------------------------------------------------------
     def draw(self, rng, randomness: int, size) -> np.ndarray:
         """Draw per-node randomness from ``rng``.
 
@@ -93,14 +92,6 @@ class ArrayBackend:
         (e.g. move draws to a device), never to change the stream.
         """
         return rng.integers(randomness, size=size)
-
-    def updates(self, new_sig: np.ndarray, sig: np.ndarray) -> int:
-        """Reduction hook: number of entries that changed state."""
-        return int((new_sig != sig).sum())
-
-    def any_changed(self, new_sig: np.ndarray, sig: np.ndarray) -> bool:
-        """Reduction hook: did anything change?  (Cheaper than counting.)"""
-        return bool((new_sig != sig).any())
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<{type(self).__name__} name={self.name!r}>"

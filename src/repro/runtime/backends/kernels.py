@@ -18,9 +18,9 @@ only the ``F`` *feature states* some atom names
   proposition evaluation; each atom is evaluated at most once per step and
   shared by every cascade that mentions it.
 
-Everything is shape-generic over the leading axes — ``(m,)`` for the
-single-replica and quotient engines, ``(R, m)`` for the batched one — so a
-single implementation serves all engines with no code divergence.
+Everything is shape-generic over the leading axes — ``(m,)`` or an
+``(R, m)`` replica stack — so one implementation serves every topology
+operator and replica count with no code divergence.
 :class:`~repro.runtime.backends.NumpyBackend` is a thin wrapper over these
 functions.
 """

@@ -8,7 +8,7 @@ of an orbit computes the same transition as the orbit's representative.
 So a run started in an orbit-constant state never needs more than one
 representative per orbit simulated.
 
-The lowering here folds a declared
+The lowering here (:func:`quotient_topology`) folds a declared
 :class:`~repro.network.symmetry.AutomorphismGroup` into a **quotient CSR**
 ``Q`` over the ``k`` orbit representatives: ``Q[i, j]`` is the
 multiplicity of orbit ``j`` in representative ``i``'s neighbourhood.
@@ -17,11 +17,11 @@ representative's true neighbour-state counts are exactly::
 
     counts = Q @ [σ_reps == f]          # (k × F), f over the feature states
 
-so the *same* backend step kernel the full-graph vectorized engine runs
-(:class:`~repro.runtime.backends.ArrayBackend` — atom truth table plus
-cascade resolution) executes unchanged on the quotient — mod-thresh
-counting is exact, not approximated, and a step costs O(k·F + nnz(Q))
-instead of O(n·F + m).  Lifted views (:attr:`state`, observer change
+so :class:`QuotientSynchronousEngine` is the one array engine
+(:class:`~repro.runtime.engine.SynchronousArrayEngine`) with ``Q`` as its
+topology operator — mod-thresh counting is exact, not approximated, and a
+step costs O(k·F + nnz(Q)) instead of O(n·F + m).  Lifted views
+(:attr:`~repro.runtime.engine.SingleReplicaEngine.state`, observer change
 dicts in :func:`repro.runtime.api.run`) decode the representative vector
 back to all ``n`` nodes via the orbit index.
 
@@ -39,7 +39,9 @@ consume the shared per-orbit convention bitwise: it draws the same
 ``size=k`` vector per step from the base generator and broadcasts it to
 nodes through the orbit index.
 
-Preconditions are re-checked at construction and violations raise
+Preconditions are checked in one place, :func:`quotient_blocker`, which
+the constructor calls (and :func:`repro.run` reaches only through the
+constructor, so a run verifies the group once).  Violations raise
 :class:`~repro.core.ir.QuotientLoweringError` with a machine-readable
 ``blocker`` tag: the network must declare a group (``"no-group"``) whose
 generators still are automorphisms of the *current* topology
@@ -61,22 +63,113 @@ import numpy as np
 from scipy import sparse
 
 from repro.core.automaton import FSSGA, ProbabilisticFSSGA
-from repro.core.ir import CompiledAutomaton, QuotientLoweringError, lower
+from repro.core.ir import CompiledAutomaton, QuotientLoweringError
 from repro.network.graph import Network
 from repro.network.state import NetworkState
 from repro.network.symmetry import SymmetryError
-from repro.runtime.backends import (
-    DEFAULT_MAX_STEPS,
-    ArrayBackend,
-    resolve_backend,
-)
+from repro.runtime.backends import ArrayBackend
 from repro.runtime.churn import ChurnPlan
+from repro.runtime.engine import SingleReplicaEngine, Topology
 from repro.runtime.telemetry import MetricsRegistry, coerce_rng
 
-__all__ = ["QuotientSynchronousEngine", "OrbitBroadcastRng"]
+__all__ = ["QuotientSynchronousEngine", "OrbitBroadcastRng", "quotient_blocker"]
 
 
-class QuotientSynchronousEngine:
+def quotient_blocker(
+    net: Network, init, fault_plan: Optional[ChurnPlan] = None
+) -> Optional[tuple[str, str]]:
+    """Why ``init`` on ``net`` cannot run on the quotient, or ``None``.
+
+    Returns ``(blocker_tag, message)`` naming the first obstruction, in
+    order of cost: a non-empty plan, no declared group, a stale group
+    (the one :meth:`~repro.network.symmetry.AutomorphismGroup.verify`
+    call), an init that is not one state mapping, and an init that is
+    not orbit-constant.
+    """
+    if fault_plan is not None and len(fault_plan) > 0:
+        if getattr(fault_plan, "has_additions", False):
+            return (
+                "churn-plan",
+                "churn plans break symmetry: an arrival (node-up / edge-up) "
+                "changes the node set or edge set, so no declared "
+                "automorphism group can remain valid across the run — use a "
+                "full-graph engine",
+            )
+        return (
+            "fault-plan",
+            "fault plans break symmetry: a deletion distinguishes the "
+            "faulted node's orbit members, so the quotient path cannot run "
+            "a faulted schedule — use a full-graph engine",
+        )
+    if net.symmetry is None:
+        return (
+            "no-group",
+            "network declares no automorphism group; call "
+            "net.declare_symmetry(...) to enable the quotient path",
+        )
+    try:
+        # mutations do not revoke a declaration — re-verify here so a
+        # stale group is caught at lowering time, not as silent skew
+        net.symmetry.verify(net)
+    except SymmetryError as exc:
+        return (
+            "stale-group",
+            f"declared automorphism group is stale for the current "
+            f"topology: {exc}",
+        )
+    if not isinstance(init, Mapping):
+        return (
+            "init-form",
+            f"quotient runs need a single NetworkState init, got "
+            f"{type(init).__name__}",
+        )
+    part = net.orbit_partition()
+    for v, j in part.orbit_of.items():
+        rep = part.reps[j]
+        if init[v] != init[rep]:
+            return (
+                "init-not-orbit-constant",
+                f"initial state is not orbit-constant: node {v!r} has state "
+                f"{init[v]!r} but its orbit representative {rep!r} has "
+                f"{init[rep]!r}",
+            )
+    return None
+
+
+def quotient_topology(net: Network) -> Topology:
+    """The quotient operator of ``net``'s orbit partition.
+
+    ``Q[i, j]`` is the multiplicity of orbit ``j`` among representative
+    ``i``'s neighbours; rows are the representatives, and every node
+    lifts through its orbit index.
+    """
+    part = net.orbit_partition()
+    k = part.num_orbits
+    indptr = np.zeros(k + 1, dtype=np.int64)
+    cols: list[int] = []
+    data: list[int] = []
+    for i, rep in enumerate(part.reps):
+        row: dict[int, int] = {}
+        for u in net.neighbors(rep):
+            j = part.orbit_of[u]
+            row[j] = row.get(j, 0) + 1
+        for j in sorted(row):
+            cols.append(j)
+            data.append(row[j])
+        indptr[i + 1] = len(cols)
+    quotient = sparse.csr_matrix(
+        (np.asarray(data, dtype=np.int64), np.asarray(cols, dtype=np.int64),
+         indptr),
+        shape=(k, k),
+    )
+    lift = np.fromiter(part.orbit_of.values(), dtype=np.int64, count=len(part.orbit_of))
+    return Topology(
+        quotient, list(part.reps), list(part.orbit_of), lift,
+        np.asarray(part.sizes, dtype=np.int64),
+    )
+
+
+class QuotientSynchronousEngine(SingleReplicaEngine):
     """Synchronous FSSGA evolution on orbit representatives.
 
     Parameters mirror
@@ -84,10 +177,12 @@ class QuotientSynchronousEngine:
     that ``net`` must carry a declared automorphism group
     (:meth:`~repro.network.graph.Network.declare_symmetry`), ``init`` must
     be orbit-constant, and ``fault_plan`` must be empty — violations raise
-    :class:`~repro.core.ir.QuotientLoweringError` naming the blocker.
+    :class:`~repro.core.ir.QuotientLoweringError` naming the blocker
+    (:func:`quotient_blocker`).
 
-    Telemetry reflects *quotient-side* work: ``node_updates`` counts
-    representative updates (the states actually recomputed) and
+    :attr:`state` and :meth:`state_counts` are the *lifted* full-graph
+    views.  Telemetry reflects *quotient-side* work: ``node_updates``
+    counts representative updates (the states actually recomputed) and
     ``rng_draws`` counts per-orbit draws, so the counters quantify the
     n/k saving directly; ``node_updates_lifted`` additionally records the
     full-graph-equivalent update count (sum of changed orbits' sizes) for
@@ -105,114 +200,24 @@ class QuotientSynchronousEngine:
         metrics: Optional[MetricsRegistry] = None,
         backend: Union[str, ArrayBackend, None] = "auto",
     ) -> None:
-        if fault_plan is not None and len(fault_plan) > 0:
-            if getattr(fault_plan, "has_additions", False):
-                raise QuotientLoweringError(
-                    "churn plans break symmetry: an arrival (node-up / "
-                    "edge-up) changes the node set or edge set, so no "
-                    "declared automorphism group can remain valid across "
-                    "the run — use a full-graph engine",
-                    blocker="churn-plan",
-                )
-            raise QuotientLoweringError(
-                "fault plans break symmetry: a deletion distinguishes the "
-                "faulted node's orbit members, so the quotient path cannot "
-                "run a faulted schedule — use a full-graph engine",
-                blocker="fault-plan",
-            )
-        group = net.symmetry
-        if group is None:
-            raise QuotientLoweringError(
-                "network declares no automorphism group; call "
-                "net.declare_symmetry(...) before requesting the quotient "
-                "engine",
-                blocker="no-group",
-            )
-        try:
-            # mutations do not revoke a declaration — re-verify here so a
-            # stale group is caught at lowering time, not as silent skew
-            group.verify(net)
-        except SymmetryError as exc:
-            raise QuotientLoweringError(
-                f"declared automorphism group is stale for the current "
-                f"topology: {exc}",
-                blocker="stale-group",
-            ) from exc
-
-        self._ir = lower(programs, randomness)
-        self._probabilistic = self._ir.probabilistic
-        self.randomness = self._ir.randomness
-        self.alphabet: list = list(self._ir.alphabet)
-        self._code = dict(self._ir.code)
-
-        self._net = net
-        self.partition = net.orbit_partition()
-        part = self.partition
-        k = part.num_orbits
-        self._k = k
-
-        for v in net:
-            rep = part.reps[part.orbit_of[v]]
-            if init[v] != init[rep]:
-                raise QuotientLoweringError(
-                    f"initial state is not orbit-constant: node {v!r} has "
-                    f"state {init[v]!r} but its orbit representative "
-                    f"{rep!r} has {init[rep]!r}",
-                    blocker="init-not-orbit-constant",
-                )
-
-        # quotient CSR: Q[i, j] = multiplicity of orbit j among rep i's
-        # neighbours — the representative's true neighbour counts, grouped
-        # by orbit label
-        indptr = np.zeros(k + 1, dtype=np.int64)
-        cols: list[int] = []
-        data: list[int] = []
-        degrees = np.zeros(k, dtype=np.int64)
-        for i, rep in enumerate(part.reps):
-            row: dict[int, int] = {}
-            for u in net.neighbors(rep):
-                j = part.orbit_of[u]
-                row[j] = row.get(j, 0) + 1
-            for j in sorted(row):
-                cols.append(j)
-                data.append(row[j])
-            degrees[i] = net.degree(rep)
-            indptr[i + 1] = len(cols)
-        self.quotient = sparse.csr_matrix(
-            (
-                np.asarray(data, dtype=np.int64),
-                np.asarray(cols, dtype=np.int64),
-                indptr,
-            ),
-            shape=(k, k),
+        blocked = quotient_blocker(net, init, fault_plan)
+        if blocked is not None:
+            raise QuotientLoweringError(blocked[1], blocker=blocked[0])
+        super().__init__(
+            net, programs, [init], randomness, [coerce_rng(rng)], None,
+            metrics, backend, quotient_topology(net),
         )
-        self._live = degrees > 0  # degree-0 representatives hold
-        self._sizes = np.asarray(part.sizes, dtype=np.int64)
+        self.partition = net.orbit_partition()
 
-        sigma = np.empty(k, dtype=np.int64)
-        for i, rep in enumerate(part.reps):
-            sigma[i] = self._code[init[rep]]
-        self._sigma = sigma
-
-        self.rng = coerce_rng(rng)
-        self.backend = resolve_backend(backend)
-        self.metrics = metrics
-        if metrics is not None:
-            metrics.set_tag("backend", self.backend.name)
-        self.fault_plan = None
-        self.last_faults: list = []
-        self.time = 0
-
-    # ------------------------------------------------------------------
     @property
-    def num_nodes(self) -> int:
-        """Full-graph node count (the lifted view's size)."""
-        return self._net.num_nodes
+    def quotient(self) -> sparse.csr_matrix:
+        """The quotient CSR ``Q`` with orbit multiplicities."""
+        return self.adjacency
 
     @property
     def orbit_count(self) -> int:
         """``k``, the number of orbits actually simulated."""
-        return self._k
+        return self._n
 
     @property
     def orbit_sizes(self) -> tuple:
@@ -220,81 +225,9 @@ class QuotientSynchronousEngine:
         return self.partition.sizes
 
     @property
-    def live_count(self) -> int:
-        """Representatives simulated per step (== rng draws per step)."""
-        return self._k
-
-    # ------------------------------------------------------------------
-    def step(self) -> bool:
-        """One synchronous quotient step; True iff any orbit changed."""
-        sig = self._sigma
-        k = self._k
-        if self._probabilistic:
-            # one shared draw per orbit (see module docstring): the only
-            # convention that keeps the trajectory orbit-constant
-            draws = self.backend.draw(self.rng, self.randomness, k)
-        else:
-            draws = None
-        new_sig = self.backend.step(self.quotient, sig, self._live, draws,
-                                    self._ir)
-        met = self.metrics
-        if met is None:
-            changed = self.backend.any_changed(new_sig, sig)
-        else:
-            diff = new_sig != sig
-            updates = int(diff.sum())
-            changed = updates > 0
-            met.inc("steps")
-            met.inc("node_updates", updates)
-            met.inc("node_updates_lifted", int(self._sizes[diff].sum()))
-            if self._probabilistic:
-                met.inc("rng_draws", k)
-        self._sigma = new_sig
-        self.time += 1
-        return changed
-
-    def run(self, steps: int) -> None:
-        for _ in range(steps):
-            self.step()
-
-    def run_until_stable(self, max_steps: int = DEFAULT_MAX_STEPS) -> int:
-        """Step to a fixed point; returns steps taken (deterministic only)."""
-        for steps in range(1, max_steps + 1):
-            if not self.step():
-                return steps
-        raise RuntimeError(f"no fixed point within {max_steps} steps")
-
-    # ------------------------------------------------------------------
-    @property
-    def state(self) -> NetworkState:
-        """The **lifted** full-graph state: every node decodes through its
-        orbit's representative entry."""
-        part = self.partition
-        sig = self._sigma
-        return NetworkState(
-            {v: self.alphabet[sig[part.orbit_of[v]]] for v in self._net}
-        )
-
-    @property
     def representative_state(self) -> NetworkState:
         """The quotient-side state: representatives only."""
-        return NetworkState(
-            {
-                rep: self.alphabet[self._sigma[i]]
-                for i, rep in enumerate(self.partition.reps)
-            }
-        )
-
-    def state_counts(self) -> dict:
-        """Multiplicity of each alphabet state over the *lifted* view —
-        orbit sizes weight the representative states, so this agrees with
-        the full-graph engines' counts."""
-        out = {}
-        binc = np.zeros(len(self.alphabet), dtype=np.int64)
-        np.add.at(binc, self._sigma, self._sizes)
-        for i, q in enumerate(self.alphabet):
-            out[q] = int(binc[i])
-        return out
+        return self._decode(self._order, self._sigmas[0])
 
 
 class OrbitBroadcastRng:

@@ -10,6 +10,7 @@ the engine-conformance harness.
 import numpy as np
 import pytest
 from test_engine_conformance import (
+    random_churn_events,
     random_init,
     random_network,
     random_probabilistic_programs,
@@ -42,6 +43,27 @@ def _two_state_net(n=5):
     net = generators.path_graph(n)
     init = NetworkState.from_function(net, lambda v: "a" if v % 2 else "b")
     return net, init
+
+
+#: The run() paths the termination policy must agree on.
+TERMINATION_PATHS = ["reference", "vectorized", "batched", "quotient"]
+
+
+def _path_kwargs(engine, net):
+    """run() keywords selecting ``engine`` on ``net``: one replica for
+    ``"batched"``; for ``"quotient"`` the path's reflection is declared
+    (the alternating init of an odd :func:`_two_state_net` is constant on
+    its orbits)."""
+    if engine == "batched":
+        return {"engine": engine, "replicas": 1}
+    if engine == "quotient":
+        from repro.network.symmetry import AutomorphismGroup
+
+        last = net.num_nodes - 1
+        net.declare_symmetry(
+            AutomorphismGroup([{v: last - v for v in net}], name="reflection")
+        )
+    return {"engine": engine}
 
 
 class _Recorder(StepObserver):
@@ -475,34 +497,68 @@ class TestTermination:
         assert res.steps == 1
         assert list(res.replica_rounds) == [1, 1, 1]
 
-    @pytest.mark.parametrize("engine", ["reference", "vectorized"])
+    @pytest.mark.parametrize("engine", TERMINATION_PATHS)
     def test_initially_true_predicate_is_zero_steps(self, engine):
         net, init = _two_state_net()
         res = run(
-            _blinker_programs(), net, init, engine=engine, until=lambda s: True
+            _blinker_programs(), net, init, until=lambda s: True,
+            **_path_kwargs(engine, net),
         )
         assert res.steps == 0
         assert res.final_state == init
 
-    @pytest.mark.parametrize("engine", ["reference", "vectorized"])
+    @pytest.mark.parametrize("engine", TERMINATION_PATHS)
     def test_stable_budget_raises(self, engine):
         net, init = _two_state_net()
         with pytest.raises(RuntimeError, match="fixed point"):
             run(
-                _blinker_programs(), net, init, engine=engine,
-                until="stable", max_steps=10,
+                _blinker_programs(), net, init, until="stable", max_steps=10,
+                **_path_kwargs(engine, net),
             )
 
-    @pytest.mark.parametrize("engine", ["reference", "vectorized"])
+    @pytest.mark.parametrize("engine", TERMINATION_PATHS)
     def test_predicate_budget_raises_after_exactly_max_steps(self, engine):
         net, init = _two_state_net()
         rec = _Recorder()
         with pytest.raises(RuntimeError, match="predicate"):
             run(
-                _blinker_programs(), net, init, engine=engine,
-                until=lambda s: False, max_steps=7, observers=(rec,),
+                _blinker_programs(), net, init, until=lambda s: False,
+                max_steps=7, observers=(rec,), **_path_kwargs(engine, net),
             )
         assert len(rec.events) == 7
+
+    CASES = {
+        "fixed": (_blinker_programs, 4),
+        "stable": (_blinker_programs, "stable"),
+        "born-stable": (_hold_programs, "stable"),
+        "predicate-false": (_blinker_programs, lambda s: False),
+        "predicate-true": (_blinker_programs, lambda s: True),
+        "predicate-after-1": (_blinker_programs, lambda s: s[0] == "a"),
+        "until-true": (_hold_programs, True),
+        "until-negative": (_hold_programs, -1),
+        "until-junk": (_hold_programs, "sideways"),
+    }
+
+    @staticmethod
+    def _outcome(engine, case):
+        """Steps, draws and observer events of one run, or the exception
+        type and the events seen before it."""
+        programs, until = TestTermination.CASES[case]
+        net, init = _two_state_net()
+        rec = _Recorder()
+        try:
+            res = run(
+                programs(), net, init, until=until, max_steps=6,
+                observers=(rec,), **_path_kwargs(engine, net),
+            )
+        except (RuntimeError, TypeError, ValueError) as exc:
+            return type(exc), len(rec.events)
+        return res.steps, res.rng_draws, len(rec.events)
+
+    @pytest.mark.parametrize("engine", TERMINATION_PATHS[1:])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_every_path_terminates_like_the_reference(self, engine, case):
+        assert self._outcome(engine, case) == self._outcome("reference", case)
 
     def test_stable_engines_agree_on_step_count(self):
         from repro.algorithms import two_coloring
@@ -641,6 +697,35 @@ class TestFrontDoorBitwiseConformance:
             rng=[np.random.default_rng(seed)], until=6,
         )
         assert bat.replica_states[0] == vec.final_state
+
+    @pytest.mark.parametrize("case", range(6))
+    def test_churn_change_reports_match_reference(self, case):
+        """Arrivals boot before the step they precede, so a step's change
+        report is relative to the boot state on every engine: observer
+        events, change counts and draws agree with the reference."""
+        from repro.runtime.churn import ChurnPlan
+
+        rng = np.random.default_rng(4200 + case)
+        randomness = int(rng.integers(2, 4))
+        states, programs = random_probabilistic_programs(
+            rng, int(rng.integers(2, 4)), randomness
+        )
+        net = random_network(rng, 2)
+        init = random_init(rng, net, states)
+        events = random_churn_events(rng, net, 10, states)
+        seed = int(rng.integers(2**32))
+        outcomes = []
+        for engine in ("reference", "vectorized"):
+            rec = _Recorder()
+            res = run(
+                programs, net.copy(), init, engine=engine, until=10,
+                randomness=randomness, rng=np.random.default_rng(seed),
+                fault_plan=ChurnPlan(list(events)), observers=(rec,),
+            )
+            outcomes.append(
+                (res.final_state, res.change_counts, res.rng_draws, rec.events)
+            )
+        assert outcomes[0] == outcomes[1]
 
     def test_coin_kernel_seeded(self):
         from repro.algorithms import election

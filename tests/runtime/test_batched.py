@@ -256,3 +256,89 @@ class TestQuiescenceMasks:
         with pytest.raises(RuntimeError):
             bat.run_until(lambda counts: False, max_steps=5)
         assert bat.time == 5
+
+
+class TestPartiallyActiveReplicas:
+    """Replicas that differ in draws, stop at different steps, and share
+    one churned topology: the gather/scatter path over a live view."""
+
+    @pytest.mark.parametrize("case", range(4))
+    def test_churned_replicas_match_spawned_single_runs(self, case):
+        from test_engine_conformance import (
+            random_churn_events,
+            random_init,
+            random_network,
+            random_probabilistic_programs,
+        )
+
+        from repro.runtime.churn import ChurnPlan
+
+        rng = np.random.default_rng(17000 + case)
+        randomness = int(rng.integers(2, 4))
+        states, programs = random_probabilistic_programs(
+            rng, int(rng.integers(2, 4)), randomness
+        )
+        net = random_network(rng, 2)
+        init = random_init(rng, net, states)
+        events = random_churn_events(rng, net, 10, states)
+        assert any(ev.kind == "node-up" for ev in events)  # arrivals included
+        seed, R = int(rng.integers(2**32)), 3
+        bat = BatchedSynchronousEngine(
+            net.copy(), programs, init, replicas=R, randomness=randomness,
+            rng=seed, fault_plan=ChurnPlan(list(events)),
+        )
+        singles = [
+            VectorizedSynchronousEngine(
+                net.copy(), programs, init, randomness=randomness, rng=g,
+                fault_plan=ChurnPlan(list(events)),
+            )
+            for g in np.random.default_rng(seed).spawn(R)
+        ]
+        for step in range(10):
+            bat.step()
+            for r, single in enumerate(singles):
+                single.step()
+                assert bat.replica_state(r) == single.state, (
+                    f"replica {r} diverged at step {step}"
+                )
+
+    def test_predicate_stops_replicas_while_plan_is_live(self):
+        """Pinned outcome of a run() whose replicas stop at steps 2, 3, 4
+        and 4 while churn events at t = 4, 6 and 9 are still pending."""
+        import hashlib
+
+        from repro import run
+        from repro.runtime.churn import ChurnPlan, TopologyEvent
+
+        net = generators.complete_graph(10)
+        events = [
+            TopologyEvent(1, "node-down", 3),
+            TopologyEvent(2, "node-up", "a", state=election.K_REMAIN0,
+                          edges=(0, 1, 2, 4)),
+            TopologyEvent(4, "edge-down", (0, 1)),
+            TopologyEvent(6, "node-up", 3, state=election.K_REMAIN0,
+                          edges=(5, 6)),
+            TopologyEvent(9, "node-up", "b", state=election.K_REMAIN1,
+                          edges=(0, 7, 8)),
+        ]
+        plan = ChurnPlan(events)
+        survivors = lambda s: sum(q != election.K_OUT for q in s.values())
+        res = run(
+            election.coin_kernel_programs(), net,
+            election.coin_kernel_init(net), replicas=4, randomness=2,
+            rng=20061, until=lambda s: survivors(s) <= 2, fault_plan=plan,
+            max_steps=200,
+        )
+        rounds = [int(r) for r in res.replica_rounds]
+        assert rounds == [3, 4, 4, 2]
+        assert not plan.exhausted
+        assert (res.steps, res.rng_draws, res.change_counts) == (
+            4, 126, [4, 4, 3, 2]
+        )
+        blob = repr((
+            [sorted(s.items(), key=repr) for s in res.replica_states],
+            rounds, res.steps, res.rng_draws, res.change_counts,
+        ))
+        assert hashlib.sha256(blob.encode()).hexdigest() == (
+            "d1eb1978b9d165299678502e2a6bf0ab884613ff79b101c435f581599bd9cf43"
+        )

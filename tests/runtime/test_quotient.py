@@ -145,6 +145,31 @@ class TestPreconditionErrors:
         assert exc.value.blocker == "stale-group"
 
 
+class TestPreconditionCost:
+    @pytest.mark.parametrize("engine", ["auto", "quotient"])
+    def test_one_run_verifies_the_group_once(self, engine, monkeypatch):
+        """The quotient preconditions are checked in one place: a run()
+        verifies the declared group exactly once, whether the quotient
+        was requested or picked by ``auto``."""
+        from repro.network.symmetry import AutomorphismGroup
+
+        net = _declared_cycle(64)  # declaring verifies once on its own
+        calls = []
+        verify = AutomorphismGroup.verify
+
+        def counting_verify(self, net):
+            calls.append(net)
+            return verify(self, net)
+
+        monkeypatch.setattr(AutomorphismGroup, "verify", counting_verify)
+        res = run(
+            _spread_programs(), net, NetworkState.uniform(net, "blank"),
+            until=3, engine=engine,
+        )
+        assert res.engine == "quotient"
+        assert len(calls) == 1
+
+
 class TestOrbitBroadcastRng:
     def test_vector_mode_matches_scalar_mode(self):
         net = _declared_cycle(10, shift=2)
