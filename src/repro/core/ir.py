@@ -117,12 +117,13 @@ class QuotientLoweringError(LoweringError):
 class BackendLoweringError(LoweringError):
     """The run cannot execute on the requested array backend.
 
-    Raised when a backend is pinned (``backend="numba"`` & co.) but a
-    precondition fails; ``blocker`` is a stable machine-readable tag
-    (``"numba-unavailable"``, ``"reference-engine"``, …) naming the
-    *actual* obstruction, matching the quotient-engine convention.
-    ``backend="auto"`` never raises this — it only selects backends whose
-    preconditions hold.
+    Raised when a backend is named that cannot take effect; ``blocker``
+    is a stable machine-readable tag naming the *actual* obstruction,
+    matching the quotient-engine convention: ``"backend-retired"`` for
+    the retired ``"numba"``/``"array-api"`` names (so a manifest recorded
+    by them replays to this error), ``"reference-engine"`` when a pinned
+    backend lands on the reference interpreter.  ``backend="auto"`` never
+    raises this.
     """
 
     def __init__(self, message: str, *, blocker: str) -> None:

@@ -16,10 +16,9 @@
   termination policy shared with :func:`run`.
 * :mod:`repro.runtime.vectorized` — the array engine on the full graph
   with one replica.
-* :mod:`repro.runtime.backends` — the pluggable array-backend layer under
-  the engines: one shared counts → atoms → cascades step kernel with
-  numpy (default), array-API and optional numba-JIT implementations, all
-  bitwise-identical.
+* :mod:`repro.runtime.backends` — the counts → atoms → cascades step
+  kernel under the engines and :class:`NumpyBackend`, its one executor,
+  whose hooks a subclass may wrap.
 * :mod:`repro.runtime.batched` — the array engine with R independent
   replicas of one automaton, spawned per-replica RNG streams and
   per-replica active masks.
@@ -45,13 +44,8 @@ from repro.runtime.api import (
     supports_vectorized,
 )
 from repro.runtime.backends import (
-    BACKENDS,
     DEFAULT_MAX_STEPS,
-    ArrayBackend,
-    ArrayApiBackend,
-    NumbaBackend,
     NumpyBackend,
-    available_backends,
     resolve_backend,
 )
 from repro.runtime.batched import (
@@ -127,12 +121,7 @@ __all__ = [
     "RunManifest",
     "ReplayMismatchError",
     "replay",
-    "ArrayBackend",
     "NumpyBackend",
-    "ArrayApiBackend",
-    "NumbaBackend",
-    "BACKENDS",
     "DEFAULT_MAX_STEPS",
-    "available_backends",
     "resolve_backend",
 ]

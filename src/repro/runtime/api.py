@@ -46,11 +46,10 @@ the shared compiler IR (:mod:`repro.core.ir`), not isinstance checks:
   vectorized paths produce bitwise-identical trajectories, probabilistic
   draws included — with or without faults.
 
-Orthogonal to engine selection, ``backend=`` chooses which
-:class:`~repro.runtime.backends.ArrayBackend` executes the array engines'
-step kernel (numpy — the default and bitwise reference — array-API, or
-the optional numba JIT).  Every array engine composes with every backend;
-a pinned backend that cannot run raises
+Orthogonal to engine selection, ``backend=`` names the executor of the
+array engines' step kernel: ``"auto"``/``"numpy"`` or a
+:class:`~repro.runtime.backends.NumpyBackend` instance (a subclass may
+wrap its hooks).  A pinned backend that cannot take effect raises
 :class:`~repro.core.ir.BackendLoweringError` naming the blocker.
 
 Termination policy (one convention for every engine — ``RunResult.steps``
@@ -92,9 +91,8 @@ from repro.core.ir import (
 from repro.network.graph import Network
 from repro.network.state import NetworkState
 from repro.runtime.backends import (
-    BACKENDS,
     DEFAULT_MAX_STEPS,
-    ArrayBackend,
+    NumpyBackend,
     resolve_backend,
 )
 from repro.runtime.batched import BatchedSynchronousEngine
@@ -122,7 +120,6 @@ __all__ = [
     "run",
     "supports_vectorized",
     "ENGINES",
-    "BACKENDS",
 ]
 
 Automaton = Union[FSSGA, ProbabilisticFSSGA, Mapping]
@@ -274,9 +271,9 @@ class RunResult:
     replica_states: Optional[list[NetworkState]] = None
     replica_rounds: Optional[np.ndarray] = None
     manifest: Optional[RunManifest] = None
-    #: Resolved array-backend name for the array engines (``"numpy"``,
-    #: ``"array-api"``, ``"numba"``…); ``None`` for the reference
-    #: interpreter, which executes no array kernel.
+    #: Resolved array-backend name for the array engines (``"numpy"``);
+    #: ``None`` for the reference interpreter, which executes no array
+    #: kernel.
     backend: Optional[str] = None
 
 
@@ -377,27 +374,27 @@ def _select_engine(
 
 
 def _select_backend(
-    backend: Union[str, ArrayBackend, None],
+    backend: Union[str, NumpyBackend, None],
     chosen_engine: str,
     requested_engine: str,
-) -> Optional[ArrayBackend]:
+) -> Optional[NumpyBackend]:
     """Resolve the ``backend=`` axis against the negotiated engine.
 
-    The reference interpreter executes no array kernel, so a *pinned*
-    backend (anything but ``"auto"``/``None``) on the reference path is an
-    unsatisfiable request — a structured
+    The name resolves first, on every engine path, through
+    :func:`repro.runtime.backends.resolve_backend`: an unknown name
+    raises its ``ValueError`` and a retired one its ``"backend-retired"``
+    blocker.  The reference interpreter executes no array kernel, so a
+    *pinned* backend (anything but ``"auto"``/``None``) on the reference
+    path is an unsatisfiable request — a structured
     :class:`~repro.core.ir.BackendLoweringError` with blocker
     ``"reference-engine"`` names it, whether the caller pinned
     ``engine="reference"`` or ``engine="auto"`` fell back because the
-    automaton does not lower.  Array engines resolve through
-    :func:`repro.runtime.backends.resolve_backend` (which raises the
-    ``"numba-unavailable"`` blocker for a pinned-but-missing JIT backend).
-    Returns the live backend, or ``None`` on the reference path.
+    automaton does not lower.  Returns the live backend, or ``None`` on
+    the reference path.
     """
-    pinned = backend is not None and backend != "auto"
+    resolved = resolve_backend(backend)
     if chosen_engine == "reference":
-        if pinned:
-            name = backend.name if isinstance(backend, ArrayBackend) else backend
+        if backend is not None and backend != "auto":
             how = (
                 "engine='reference' was requested"
                 if requested_engine == "reference"
@@ -405,13 +402,13 @@ def _select_backend(
                 "(the automaton does not lower to the engine IR)"
             )
             raise BackendLoweringError(
-                f"backend {name!r} was pinned but {how}; the reference "
-                f"interpreter executes no array kernel, so the pinned "
-                f"backend cannot take effect",
+                f"backend {resolved.name!r} was pinned but {how}; the "
+                f"reference interpreter executes no array kernel, so the "
+                f"pinned backend cannot take effect",
                 blocker="reference-engine",
             )
         return None
-    return resolve_backend(backend)
+    return resolved
 
 
 def _as_reference_automaton(
@@ -530,7 +527,7 @@ def run(
     fault_plan: Optional[ChurnPlan] = None,
     observers: tuple = (),
     metrics: Optional[MetricsRegistry] = None,
-    backend: Union[str, ArrayBackend, None] = "auto",
+    backend: Union[str, NumpyBackend, None] = "auto",
 ) -> RunResult:
     """Execute ``automaton`` on ``net`` from ``init`` on the best engine.
 
@@ -578,18 +575,17 @@ def run(
         (``lowering_cache_hits``/``misses``, ``csr_rebuilds``).  ``None``
         (default) keeps the hot loops branch-only.
     backend:
-        Which :class:`~repro.runtime.backends.ArrayBackend` executes the
-        array engines' step kernel: ``"auto"`` (numpy, the bitwise
-        reference), ``"numpy"``, ``"array-api"``, ``"numba"``, or a live
-        backend instance.  Orthogonal to ``engine``: every array engine
-        accepts every backend, all bitwise-identical.  A pinned backend
-        that cannot run raises
+        The executor of the array engines' step kernel: ``"auto"`` or
+        ``"numpy"`` (both the numpy kernel), or a live
+        :class:`~repro.runtime.backends.NumpyBackend` instance, whose
+        hooks a subclass may wrap.  An unknown name raises
+        ``ValueError``.  A backend that cannot take effect raises
         :class:`~repro.core.ir.BackendLoweringError` with a
-        machine-readable ``blocker`` (``"numba-unavailable"`` when the
-        JIT backend is pinned without numba installed,
-        ``"reference-engine"`` when the run lands on the reference
-        interpreter, which executes no array kernel).  The resolved name
-        is recorded on the result and its manifest, so
+        machine-readable ``blocker``: ``"backend-retired"`` for the
+        retired ``"numba"``/``"array-api"`` names, and
+        ``"reference-engine"`` when a pinned backend lands on the
+        reference interpreter, which executes no array kernel.  The
+        resolved name is recorded on the result and its manifest, so
         :func:`~repro.runtime.telemetry.replay` re-pins it.
     """
     observers = tuple(observers)

@@ -1,4 +1,4 @@
-"""Pluggable array backends: one shared step kernel, many substrates.
+"""The array step kernel and the one backend that executes it.
 
 The array engine (:mod:`repro.runtime.engine`, behind the vectorized,
 batched and quotient labels) executes a
@@ -8,29 +8,19 @@ states via a CSR / quotient-CSR product, atom-table evaluation,
 cascade-table state transition — plus an RNG-draw hook.  This package
 owns that seam:
 
-* :class:`~repro.runtime.backends.base.ArrayBackend` — the contract
-  (:meth:`~repro.runtime.backends.base.ArrayBackend.step` and friends);
+* :mod:`repro.runtime.backends.kernels` — the numpy/scipy primitives;
 * :class:`~repro.runtime.backends.numpy_backend.NumpyBackend` — the
-  numpy/scipy kernel of :mod:`repro.runtime.backends.kernels`, the
-  default and the bitwise reference;
-* :class:`~repro.runtime.backends.array_api.ArrayApiBackend` — the kernel
-  in pure array-API calls, so cupy/torch namespaces slot in unmodified;
-* :class:`~repro.runtime.backends.numba_backend.NumbaBackend` — an
-  optional JIT backend fusing CSR counting, atom evaluation and cascade
-  resolution into one compiled loop per automaton, cached by IR content
-  hash (:func:`backend_cache_info` mirrors
-  :func:`repro.core.ir.lowering_cache_info`).
+  executor the engines call, whose ``neighbour_counts``/``transition``/
+  ``draw`` hooks a subclass may wrap.
 
-Selection mirrors engine negotiation: ``backend="auto"`` always resolves
-to the numpy default (JIT warm-up only pays off at scale, so faster
-backends are opt-in), a pinned name resolves or raises
-:class:`~repro.core.ir.BackendLoweringError` with a machine-readable
-``blocker`` naming the actual obstruction, and an
-:class:`~repro.runtime.backends.base.ArrayBackend` *instance* passes
-through untouched (how a cupy/torch namespace or a test double is
-injected).  Every engine records the resolved backend's name in its
+``backend="auto"``, ``None`` and ``"numpy"`` resolve to a fresh
+:class:`NumpyBackend`; a :class:`NumpyBackend` *instance* (or subclass
+instance) passes through untouched.  The retired names ``"numba"`` and
+``"array-api"`` raise :class:`~repro.core.ir.BackendLoweringError` with
+blocker ``"backend-retired"``, so a manifest recorded by them replays to
+a structured error.  Every engine records the backend's name in its
 telemetry tags and every :func:`repro.runtime.api.run` manifest carries
-it, so replay re-pins the backend the original run used.
+it.
 """
 
 from __future__ import annotations
@@ -38,89 +28,38 @@ from __future__ import annotations
 from typing import Union
 
 from repro.core.ir import BackendLoweringError
-from repro.runtime.backends.base import ArrayBackend
-from repro.runtime.backends.kernels import AtomTable, ctree_bool, prop_bool
-from repro.runtime.backends.array_api import ArrayApiBackend
-from repro.runtime.backends.numba_backend import (
-    HAS_NUMBA,
-    NumbaBackend,
-    clear_kernel_cache,
-    kernel_cache_info,
-)
 from repro.runtime.backends.numpy_backend import NumpyBackend
 
-__all__ = [
-    "ArrayBackend",
-    "NumpyBackend",
-    "ArrayApiBackend",
-    "NumbaBackend",
-    "BackendLoweringError",
-    "BACKENDS",
-    "DEFAULT_MAX_STEPS",
-    "HAS_NUMBA",
-    "resolve_backend",
-    "available_backends",
-    "backend_cache_info",
-    "clear_backend_cache",
-    "AtomTable",
-    "prop_bool",
-    "ctree_bool",
-]
+__all__ = ["NumpyBackend", "DEFAULT_MAX_STEPS", "resolve_backend"]
 
 #: The one shared step budget for every engine's open-ended run modes
 #: (``run_until_stable`` / ``run_until`` / ``run(until=...)``) — hoisted
 #: here so the engines cannot drift apart on the default again.
 DEFAULT_MAX_STEPS = 100_000
 
-#: Selectable backend names, in documentation order.
-BACKENDS = ("auto", "numpy", "array-api", "numba")
-
-_FACTORIES = {
-    "numpy": NumpyBackend,
-    "array-api": ArrayApiBackend,
-    "numba": NumbaBackend,
-}
-
-
-def available_backends() -> tuple:
-    """Names of the backends whose dependencies are importable here."""
-    names = ["numpy", "array-api"]
-    if HAS_NUMBA:
-        names.append("numba")
-    return tuple(names)
+_RETIRED = ("numba", "array-api")
 
 
 def resolve_backend(
-    backend: Union[str, ArrayBackend, None] = "auto"
-) -> ArrayBackend:
-    """Resolve a ``backend=`` argument to a live :class:`ArrayBackend`.
+    backend: Union[str, NumpyBackend, None] = "auto"
+) -> NumpyBackend:
+    """Resolve a ``backend=`` argument to a live :class:`NumpyBackend`.
 
-    ``"auto"`` (or ``None``) picks the numpy default — the bitwise
-    reference; faster backends are opt-in by name.  A pinned name that
-    cannot be honoured raises
-    :class:`~repro.core.ir.BackendLoweringError` whose ``blocker`` names
-    the obstruction (``"numba-unavailable"``), matching the quotient
-    engine's negotiation convention; an unknown name raises
-    ``ValueError`` listing the choices.  Instances pass through verbatim.
+    A retired name raises :class:`~repro.core.ir.BackendLoweringError`
+    with blocker ``"backend-retired"``; any other unknown name raises
+    ``ValueError`` listing the choices.
     """
-    if isinstance(backend, ArrayBackend):
+    if isinstance(backend, NumpyBackend):
         return backend
     if backend is None or backend == "auto" or backend == "numpy":
         return NumpyBackend()
-    factory = _FACTORIES.get(backend)
-    if factory is None:
-        raise ValueError(
-            f"unknown backend {backend!r}; choose from {BACKENDS} or pass an "
-            f"ArrayBackend instance"
+    if backend in _RETIRED:
+        raise BackendLoweringError(
+            f"backend {backend!r} has been retired; the numpy backend is "
+            f"the only step-kernel executor (pass 'auto' or 'numpy')",
+            blocker="backend-retired",
         )
-    return factory()  # NumbaBackend raises the blocker itself when absent
-
-
-def backend_cache_info() -> dict:
-    """Compile-cache counters for the JIT backend (tables per IR hash)."""
-    return kernel_cache_info()
-
-
-def clear_backend_cache() -> None:
-    """Drop the JIT backend's cached kernel tables."""
-    clear_kernel_cache()
+    raise ValueError(
+        f"unknown backend {backend!r}; choose from ('auto', 'numpy') or "
+        f"pass a NumpyBackend instance"
+    )

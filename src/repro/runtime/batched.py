@@ -43,7 +43,7 @@ from repro.core.automaton import FSSGA, ProbabilisticFSSGA
 from repro.core.ir import CompiledAutomaton
 from repro.network.graph import Network
 from repro.network.state import NetworkState
-from repro.runtime.backends import DEFAULT_MAX_STEPS, ArrayBackend
+from repro.runtime.backends import DEFAULT_MAX_STEPS, NumpyBackend
 from repro.runtime.churn import ChurnPlan
 from repro.runtime.engine import SynchronousArrayEngine
 from repro.runtime.telemetry import MetricsRegistry
@@ -148,10 +148,10 @@ class BatchedSynchronousEngine(SynchronousArrayEngine):
         ``active_fraction`` series (active-mask density).  The resolved
         backend name is recorded as the ``backend`` tag.
     backend:
-        Which :class:`~repro.runtime.backends.ArrayBackend` executes the
-        stacked counts → atoms → cascades hot loop (``"auto"`` = numpy,
-        the bitwise reference; see
-        :func:`repro.runtime.backends.resolve_backend`).
+        The :class:`~repro.runtime.backends.NumpyBackend` (or its name,
+        ``"auto"``/``"numpy"``) executing the stacked counts → atoms →
+        cascades hot loop; see
+        :func:`repro.runtime.backends.resolve_backend`.
     """
 
     _records_active_fraction = True
@@ -166,7 +166,7 @@ class BatchedSynchronousEngine(SynchronousArrayEngine):
         rng: Union[int, np.random.Generator, Sequence[np.random.Generator], None] = None,
         fault_plan: Optional[ChurnPlan] = None,
         metrics: Optional[MetricsRegistry] = None,
-        backend: Union[str, ArrayBackend, None] = "auto",
+        backend: Union[str, NumpyBackend, None] = "auto",
     ) -> None:
         inits = _normalize_init(init, replicas)
         super().__init__(
@@ -187,7 +187,7 @@ def run_replicas(
     randomness: Optional[int] = None,
     rng: Union[int, np.random.Generator, Sequence[np.random.Generator], None] = None,
     fault_plan: Optional[ChurnPlan] = None,
-    backend: Union[str, ArrayBackend, None] = "auto",
+    backend: Union[str, NumpyBackend, None] = "auto",
 ) -> BatchedRunResult:
     """Evolve R replicas to termination and collect per-replica results.
 

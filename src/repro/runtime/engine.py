@@ -19,8 +19,8 @@ The engine has two parameters:
 * **R ≥ 1 replicas**, each with its own random stream and an active mask.
   Inactive replicas do not evolve and do not draw.
 
-The counts → atoms → cascades kernel itself lives behind the
-:class:`~repro.runtime.backends.ArrayBackend` seam; this module keeps
+The counts → atoms → cascades kernel itself runs through the hooks of
+:class:`~repro.runtime.backends.NumpyBackend`; this module keeps
 everything around it: state encoding and decoding (one array pass each),
 the incremental churn masks and live view, the replica masks, telemetry
 and the one termination policy (:func:`drive`), which :func:`repro.run`
@@ -393,7 +393,7 @@ class SynchronousArrayEngine:
         ``node_updates_lifted`` on a weighted topology.  The resolved
         backend name is recorded as its ``backend`` tag.
     backend:
-        The :class:`~repro.runtime.backends.ArrayBackend` (or its name)
+        The :class:`~repro.runtime.backends.NumpyBackend` (or its name)
         executing the step kernel.
     topology:
         The operator; ``None`` lowers the full graph of ``net`` (the union

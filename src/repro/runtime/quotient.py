@@ -67,7 +67,7 @@ from repro.core.ir import CompiledAutomaton, QuotientLoweringError
 from repro.network.graph import Network
 from repro.network.state import NetworkState
 from repro.network.symmetry import SymmetryError
-from repro.runtime.backends import ArrayBackend
+from repro.runtime.backends import NumpyBackend
 from repro.runtime.churn import ChurnPlan
 from repro.runtime.engine import SingleReplicaEngine, Topology
 from repro.runtime.telemetry import MetricsRegistry, coerce_rng
@@ -198,7 +198,7 @@ class QuotientSynchronousEngine(SingleReplicaEngine):
         rng: Union[int, np.random.Generator, None] = None,
         fault_plan: Optional[ChurnPlan] = None,
         metrics: Optional[MetricsRegistry] = None,
-        backend: Union[str, ArrayBackend, None] = "auto",
+        backend: Union[str, NumpyBackend, None] = "auto",
     ) -> None:
         blocked = quotient_blocker(net, init, fault_plan)
         if blocked is not None:

@@ -127,8 +127,8 @@ class MetricsRegistry:
     Besides counters and series, a registry carries string ``tags`` —
     run-level labels rather than accumulating measurements.  Engines set
     the ``backend`` tag to the resolved
-    :class:`~repro.runtime.backends.ArrayBackend` name, so stored
-    snapshots say which substrate produced the counters.
+    :class:`~repro.runtime.backends.NumpyBackend` name, so stored
+    snapshots say which executor produced the counters.
     """
 
     __slots__ = ("counters", "series", "tags")

@@ -6,8 +6,7 @@ live view).  Its one random stream is used verbatim, so
 ``run(engine="vectorized", rng=seed)`` draws exactly what the reference
 interpreter draws: one value per live node per step, in insertion order.
 It is benchmarked against the reference interpreter in
-``benchmarks/bench_engines.py`` (experiment E15) and across backends in
-``benchmarks/bench_backends.py`` (experiment E21).
+``benchmarks/bench_engines.py`` (experiment E15).
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from repro.core.automaton import FSSGA, ProbabilisticFSSGA
 from repro.core.ir import CompiledAutomaton
 from repro.network.graph import Network
 from repro.network.state import NetworkState
-from repro.runtime.backends import ArrayBackend
+from repro.runtime.backends import NumpyBackend
 from repro.runtime.churn import ChurnPlan
 from repro.runtime.engine import SingleReplicaEngine
 from repro.runtime.telemetry import MetricsRegistry, coerce_rng
@@ -68,12 +67,10 @@ class VectorizedSynchronousEngine(SingleReplicaEngine):
         (default) costs one branch per step.  The resolved backend name
         is recorded as the registry's ``backend`` tag.
     backend:
-        Which :class:`~repro.runtime.backends.ArrayBackend` executes the
-        counts → atoms → cascades hot loop: ``"auto"`` / ``"numpy"`` (the
-        bitwise-reference default), ``"array-api"``, ``"numba"`` (raises
-        :class:`~repro.core.ir.BackendLoweringError` with blocker
-        ``"numba-unavailable"`` when numba is missing), or a live
-        :class:`~repro.runtime.backends.ArrayBackend` instance.
+        The executor of the counts → atoms → cascades hot loop:
+        ``"auto"`` / ``"numpy"``, or a live
+        :class:`~repro.runtime.backends.NumpyBackend` instance (see
+        :func:`repro.runtime.backends.resolve_backend`).
     """
 
     def __init__(
@@ -85,7 +82,7 @@ class VectorizedSynchronousEngine(SingleReplicaEngine):
         rng: Union[int, np.random.Generator, None] = None,
         fault_plan: Optional[ChurnPlan] = None,
         metrics: Optional[MetricsRegistry] = None,
-        backend: Union[str, ArrayBackend, None] = "auto",
+        backend: Union[str, NumpyBackend, None] = "auto",
     ) -> None:
         super().__init__(
             net, programs, [init], randomness, [coerce_rng(rng)],

@@ -1,46 +1,28 @@
 """Tests for the array-backend layer (:mod:`repro.runtime.backends`).
 
-The engine-conformance harness already sweeps every backend through the
-bitwise step-by-step comparisons (``TestBackendConformance``); this module
-covers everything around that hot loop: the registry and negotiation
-rules (pinned-but-unavailable backends must fail with a machine-readable
-blocker, never degrade silently), the numba bytecode lowering and its
-per-content-hash kernel cache, the telemetry backend tag, and the
-``run()``-level round trips — ``RunResult.backend``, the manifest, and
-:func:`~repro.runtime.telemetry.replay` re-pinning the recorded backend.
+The engine-conformance harness already runs the numpy backend, and a
+subclass wrapping its hooks, through the bitwise step-by-step
+comparisons (``TestBackendConformance``); this module covers everything
+around that hot loop: resolution and negotiation (an unknown name must
+fail with ``ValueError``, a retired or unsatisfiable one with a
+machine-readable blocker, never degrade silently), the telemetry backend
+tag, and the ``run()``-level round trips — ``RunResult.backend``, the
+manifest, and :func:`~repro.runtime.telemetry.replay` re-pinning the
+recorded backend.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
-from test_engine_conformance import (
-    random_deterministic_programs,
-    random_init,
-    random_network,
-)
 
-from repro.core.automaton import FSSGA
-from repro.core.ir import BackendLoweringError, LoweringError, lower
+from repro.core.ir import BackendLoweringError, LoweringError
 from repro.network import NetworkState, generators
 from repro.runtime import run
 from repro.runtime.backends import (
-    BACKENDS,
     DEFAULT_MAX_STEPS,
-    HAS_NUMBA,
-    ArrayApiBackend,
-    ArrayBackend,
-    NumbaBackend,
     NumpyBackend,
-    available_backends,
-    backend_cache_info,
-    clear_backend_cache,
     resolve_backend,
-)
-from repro.runtime.backends import numba_backend
-from repro.runtime.backends.numba_backend import (
-    build_kernel_tables,
-    kernel_cache_info,
-    kernel_tables_for,
-    run_step,
 )
 from repro.runtime.telemetry import MetricsRegistry, replay
 from repro.runtime.vectorized import VectorizedSynchronousEngine
@@ -65,36 +47,39 @@ def _coin_kernel_workload(n=8):
 
 
 # ----------------------------------------------------------------------
-# registry / resolution
+# resolution
 # ----------------------------------------------------------------------
+def _census_workload():
+    from repro.algorithms import census
+
+    net = generators.connected_gnp_graph(10, 0.4, 0)
+    automaton, init = census.build(net, rng=0)
+    assert automaton.is_rule_based
+    return automaton, net, init
+
+
 class TestRegistry:
     def test_auto_and_none_resolve_to_numpy(self):
         assert isinstance(resolve_backend("auto"), NumpyBackend)
         assert isinstance(resolve_backend(None), NumpyBackend)
         assert resolve_backend("numpy").name == "numpy"
 
-    def test_array_api_resolves(self):
-        backend = resolve_backend("array-api")
-        assert isinstance(backend, ArrayApiBackend)
-        assert backend.name == "array-api"
-
     def test_instance_passes_through(self):
-        backend = ArrayApiBackend()
+        backend = NumpyBackend()
         assert resolve_backend(backend) is backend
+
+    @pytest.mark.parametrize("name", ["numba", "array-api"])
+    def test_retired_names_raise_blocker(self, name):
+        with pytest.raises(BackendLoweringError) as exc:
+            resolve_backend(name)
+        assert exc.value.blocker == "backend-retired"
+        assert isinstance(exc.value, LoweringError)  # and hence a TypeError
 
     def test_unknown_name_lists_choices(self):
         with pytest.raises(ValueError, match="unknown backend 'bogus'"):
             resolve_backend("bogus")
         with pytest.raises(ValueError, match="numpy"):
             resolve_backend("bogus")
-
-    def test_backends_tuple_is_the_public_axis(self):
-        assert BACKENDS == ("auto", "numpy", "array-api", "numba")
-
-    def test_available_backends_tracks_numba(self):
-        names = available_backends()
-        assert "numpy" in names and "array-api" in names
-        assert ("numba" in names) == HAS_NUMBA
 
     def test_default_max_steps_is_shared(self):
         import repro.runtime as rt
@@ -104,27 +89,35 @@ class TestRegistry:
 
 
 # ----------------------------------------------------------------------
-# negotiation: pinned-but-unavailable must raise structured blockers
+# negotiation: unsatisfiable backends must raise structured blockers
 # ----------------------------------------------------------------------
+def _engine_paths():
+    """``(label, run-thunk-for-backend)`` for every engine path."""
+    net, programs, init = _two_coloring_workload()
+    automaton, cnet, cinit = _census_workload()
+    return {
+        "reference": lambda b: run(
+            programs, net.copy(), init, engine="reference", backend=b
+        ),
+        "auto-fallback": lambda b: run(automaton, cnet.copy(), cinit, backend=b),
+        "array": lambda b: run(programs, net.copy(), init, backend=b),
+    }
+
+
 class TestNegotiation:
-    def test_pinned_numba_without_numba_raises_blocker(self, monkeypatch):
-        monkeypatch.setattr(numba_backend, "HAS_NUMBA", False)
-        with pytest.raises(BackendLoweringError) as exc:
-            NumbaBackend()
-        assert exc.value.blocker == "numba-unavailable"
-        assert isinstance(exc.value, LoweringError)  # and hence a TypeError
+    @pytest.mark.parametrize("path", ["reference", "auto-fallback", "array"])
+    def test_mistyped_name_lists_choices_on_every_path(self, path):
+        with pytest.raises(ValueError, match="unknown backend 'nmpy'") as exc:
+            _engine_paths()[path]("nmpy")
+        assert not isinstance(exc.value, LoweringError)
+        assert "numpy" in str(exc.value)
 
-    def test_force_python_never_needs_numba(self, monkeypatch):
-        monkeypatch.setattr(numba_backend, "HAS_NUMBA", False)
-        backend = NumbaBackend(force_python=True)
-        assert backend.name == "kernel-python"
-
-    def test_run_pinned_numba_without_numba(self, monkeypatch):
-        monkeypatch.setattr(numba_backend, "HAS_NUMBA", False)
-        net, programs, init = _two_coloring_workload()
+    @pytest.mark.parametrize("name", ["numba", "array-api"])
+    @pytest.mark.parametrize("path", ["reference", "auto-fallback", "array"])
+    def test_retired_name_raises_blocker_on_every_path(self, path, name):
         with pytest.raises(BackendLoweringError) as exc:
-            run(programs, net, init, backend="numba")
-        assert exc.value.blocker == "numba-unavailable"
+            _engine_paths()[path](name)
+        assert exc.value.blocker == "backend-retired"
 
     def test_run_reference_engine_rejects_pinned_backend(self):
         net, programs, init = _two_coloring_workload()
@@ -136,11 +129,7 @@ class TestNegotiation:
     def test_run_auto_fallback_rejects_pinned_backend(self):
         # a rule-based automaton auto-falls back to the reference
         # interpreter; a pinned backend must surface that, not vanish
-        from repro.algorithms import census
-
-        net = generators.connected_gnp_graph(10, 0.4, 0)
-        automaton, init = census.build(net, rng=0)
-        assert automaton.is_rule_based
+        automaton, net, init = _census_workload()
         with pytest.raises(BackendLoweringError) as exc:
             run(automaton, net, init, backend="numpy")
         assert exc.value.blocker == "reference-engine"
@@ -154,114 +143,29 @@ class TestNegotiation:
 
 
 # ----------------------------------------------------------------------
-# the numba bytecode lowering (runs uncompiled without numba)
-# ----------------------------------------------------------------------
-class TestKernelTables:
-    def _ir(self):
-        net, programs, _ = _two_coloring_workload()
-        return lower(FSSGA.from_programs(programs))
-
-    def test_table_shapes(self):
-        ir = self._ir()
-        tables = build_kernel_tables(ir)
-        s, r = len(ir.alphabet), ir.randomness
-        assert tables.prog_of.shape == (s, r)
-        assert tables.n_states == s
-        assert tables.prog_ptr.shape == (len(tables.prog_default) + 1,)
-        assert tables.clause_code_ptr.shape == (len(tables.clause_result) + 1,)
-        assert tables.bytecode.shape == (tables.clause_code_ptr[-1],)
-        assert tables.stack_size >= 1
-
-    def test_missing_table_entries_hold_state(self):
-        ir = self._ir()
-        tables = build_kernel_tables(ir)
-        held = tables.prog_of < 0
-        # every coded (state, draw) either dispatches or holds
-        assert held.shape == (len(ir.alphabet), ir.randomness)
-
-    @pytest.mark.parametrize("case", range(4))
-    def test_bytecode_matches_numpy_step(self, case):
-        """The fused loop ≡ the one-hot matvec + np.select path, bitwise."""
-        rng = np.random.default_rng(4200 + case)
-        states, programs = random_deterministic_programs(
-            rng, int(rng.integers(2, 5))
-        )
-        net = random_network(rng, 2)
-        init = random_init(rng, net, states)
-        ref = VectorizedSynchronousEngine(net.copy(), programs, init)
-        kern = VectorizedSynchronousEngine(
-            net.copy(), programs, init,
-            backend=NumbaBackend(force_python=True),
-        )
-        for _ in range(6):
-            ref.step()
-            kern.step()
-            assert kern.state == ref.state
-
-    def test_run_step_accepts_flat_and_stacked(self):
-        ir = self._ir()
-        tables = kernel_tables_for(ir)
-        net, programs, init = _two_coloring_workload()
-        eng = VectorizedSynchronousEngine(net, programs, init)
-        sig = eng._sigma.copy()
-        live = np.ones(sig.shape[0], dtype=bool)
-        flat = run_step(eng.adjacency, sig, live, None, tables,
-                        force_python=True)
-        stacked = run_step(
-            eng.adjacency, np.stack([sig, sig]), live, None, tables,
-            force_python=True,
-        )
-        assert flat.shape == sig.shape
-        assert stacked.shape == (2, sig.shape[0])
-        np.testing.assert_array_equal(stacked[0], flat)
-        np.testing.assert_array_equal(stacked[1], flat)
-
-
-class TestKernelCache:
-    def test_hit_miss_accounting(self):
-        clear_backend_cache()
-        ir = lower(
-            FSSGA.from_programs(_two_coloring_workload()[1])
-        )
-        kernel_tables_for(ir)
-        info = kernel_cache_info()
-        assert (info["hits"], info["misses"], info["kernels"]) == (0, 1, 1)
-        assert kernel_tables_for(ir) is kernel_tables_for(ir)
-        info = kernel_cache_info()
-        assert info["hits"] == 2 and info["misses"] == 1
-
-    def test_backend_cache_info_mirrors_kernel_cache(self):
-        clear_backend_cache()
-        assert backend_cache_info()["kernels"] == 0
-        ir = lower(FSSGA.from_programs(_two_coloring_workload()[1]))
-        kernel_tables_for(ir)
-        assert backend_cache_info() == kernel_cache_info()
-
-
-# ----------------------------------------------------------------------
 # telemetry: tags, manifest, replay
 # ----------------------------------------------------------------------
 class TestBackendTelemetry:
     def test_metrics_registry_tags(self):
         met = MetricsRegistry()
-        met.set_tag("backend", "numpy")
-        met.set_tag("backend", "array-api")  # last writer wins
-        assert met.snapshot()["tags"] == {"backend": "array-api"}
+        met.set_tag("backend", "first")
+        met.set_tag("backend", "numpy")  # last writer wins
+        assert met.snapshot()["tags"] == {"backend": "numpy"}
 
     def test_engine_tags_metrics(self):
         net, programs, init = _two_coloring_workload()
         met = MetricsRegistry()
         VectorizedSynchronousEngine(
-            net, programs, init, metrics=met, backend="array-api"
+            net, programs, init, metrics=met, backend="numpy"
         )
-        assert met.snapshot()["tags"]["backend"] == "array-api"
+        assert met.snapshot()["tags"]["backend"] == "numpy"
 
     def test_run_result_and_manifest_carry_backend(self):
         net, programs, init = _two_coloring_workload()
-        res = run(programs, net, init, backend="array-api")
-        assert res.backend == "array-api"
-        assert res.manifest.backend == "array-api"
-        assert '"backend": "array-api"' in res.manifest.to_json()
+        res = run(programs, net, init, backend="numpy")
+        assert res.backend == "numpy"
+        assert res.manifest.backend == "numpy"
+        assert '"backend": "numpy"' in res.manifest.to_json()
 
     def test_auto_records_the_resolved_backend(self):
         net, programs, init = _two_coloring_workload()
@@ -273,31 +177,36 @@ class TestBackendTelemetry:
         net, programs, init = _coin_kernel_workload()
         res = run(
             programs, net, init, randomness=2, rng=11, until=12,
-            backend="array-api",
+            backend="numpy",
         )
         redo = replay(res.manifest)
-        assert redo.backend == "array-api"
+        assert redo.backend == "numpy"
         assert redo.final_state == res.final_state
 
-    def test_replay_reference_run_has_no_backend(self):
-        from repro.algorithms import census
+    @pytest.mark.parametrize("name", ["numba", "array-api"])
+    def test_replay_of_retired_backend_manifest_raises_blocker(self, name):
+        net, programs, init = _coin_kernel_workload()
+        res = run(programs, net, init, randomness=2, rng=11, until=12)
+        retired = dataclasses.replace(res.manifest, backend=name)
+        with pytest.raises(BackendLoweringError) as exc:
+            replay(retired)
+        assert exc.value.blocker == "backend-retired"
 
-        net = generators.connected_gnp_graph(10, 0.4, 0)
-        automaton, init = census.build(net, rng=0)
+    def test_replay_reference_run_has_no_backend(self):
+        automaton, net, init = _census_workload()
         res = run(automaton, net, init, rng=3)
         assert res.backend is None
         assert replay(res.manifest).backend is None
 
 
 # ----------------------------------------------------------------------
-# run()-level bitwise identity across the backend axis
+# run()-level bitwise identity across every spelling of the backend
 # ----------------------------------------------------------------------
 def _axis():
+    yield "auto"
     yield "numpy"
-    yield "array-api"
-    yield NumbaBackend(force_python=True)
-    if HAS_NUMBA:
-        yield "numba"
+    yield None
+    yield NumpyBackend()
 
 
 class TestRunLevelIdentity:
@@ -341,13 +250,8 @@ class TestRunLevelIdentity:
 
 class TestBackendProtocol:
     def test_draw_is_the_canonical_stream(self):
-        """Every backend consumes rng.integers(r, size=m) — nothing else."""
+        """The backend consumes rng.integers(r, size=m) — nothing else."""
         backend = NumpyBackend()
         a = backend.draw(np.random.default_rng(5), 3, 8)
         b = np.random.default_rng(5).integers(3, size=8)
         np.testing.assert_array_equal(a, b)
-
-    def test_base_step_is_abstract(self):
-        with pytest.raises(NotImplementedError):
-            ArrayBackend().step(None, np.zeros(1, dtype=np.int64),
-                                np.ones(1, dtype=bool), None, None)

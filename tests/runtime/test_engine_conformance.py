@@ -38,14 +38,13 @@ documented convention for cross-engine probabilistic quotient
 conformance (stock per-node draws are a different stochastic process, so
 ``engine="auto"`` never quotients probabilistic runs).
 
-The **backend axis** re-runs the differential oracle with every array
-engine executing through each selectable
-:class:`~repro.runtime.backends.ArrayBackend`: ``numpy`` (the extracted
-historical kernel), ``array-api`` (pure array-API calls over the numpy
-namespace), and the JIT backend's kernel — as ``kernel-python`` (the
-bytecode interpreter running un-jitted, so the lowering is validated on
-numba-free hosts) plus real ``numba`` when importable.  Trajectories must
-stay bitwise identical to the reference interpreter under every backend.
+The **backend seam** re-runs the differential oracle with every array
+engine executing through a :class:`RecordingBackend` — a
+:class:`~repro.runtime.backends.NumpyBackend` subclass wrapping the
+``neighbour_counts``/``transition``/``draw`` hooks the way a tracer
+does.  Trajectories must stay bitwise identical to the reference
+interpreter through the wrapped hooks, and the hooks must fire once per
+executed step (``draw`` once per active replica per step).
 
 The default parametrization keeps cases small; the ``slow`` marker adds a
 wider randomized sweep (opt-in: ``pytest -m slow``).
@@ -65,7 +64,8 @@ from repro.core.modthresh import (
 )
 from repro.network import NetworkState, generators
 from repro.network import symmetry as sym
-from repro.runtime.backends import HAS_NUMBA, NumbaBackend, resolve_backend
+from repro.runtime import run
+from repro.runtime.backends import NumpyBackend
 from repro.runtime.batched import BatchedSynchronousEngine
 from repro.runtime.churn import (
     ChurnPlan,
@@ -79,19 +79,28 @@ from repro.runtime.simulator import SynchronousSimulator
 from repro.runtime.telemetry import MetricsRegistry
 from repro.runtime.vectorized import VectorizedSynchronousEngine
 
-#: Every backend testable on this host.  ``kernel-python`` is the JIT
-#: backend's fused kernel interpreted in plain Python — it validates the
-#: bytecode lowering even where numba is not installed.
-BACKEND_AXIS = ["numpy", "array-api", "kernel-python"] + (
-    ["numba"] if HAS_NUMBA else []
-)
+class RecordingBackend(NumpyBackend):
+    """The numpy backend with its three hooks wrapped and counted.
 
+    It subclasses and overrides exactly what a tracer does, so the
+    conformance cases check that seam: ``step`` must reach the wrapped
+    hooks through ``self``, and their results must pass through intact.
+    """
 
-def make_backend(name):
-    """A fresh backend instance for a conformance case."""
-    if name == "kernel-python":
-        return NumbaBackend(force_python=True)
-    return resolve_backend(name)
+    def __init__(self) -> None:
+        self.calls = {"neighbour_counts": 0, "transition": 0, "draw": 0}
+
+    def neighbour_counts(self, adj, sig, ir):
+        self.calls["neighbour_counts"] += 1
+        return super().neighbour_counts(adj, sig, ir)
+
+    def transition(self, ir, counts, sig, live, draws):
+        self.calls["transition"] += 1
+        return super().transition(ir, counts, sig, live, draws)
+
+    def draw(self, rng, randomness, size):
+        self.calls["draw"] += 1
+        return super().draw(rng, randomness, size)
 
 
 # ----------------------------------------------------------------------
@@ -898,67 +907,53 @@ class TestKnownAutomata:
 
 
 class TestBackendConformance:
-    """The same harness swept across the array-backend axis.
+    """The same harness run through :class:`RecordingBackend`.
 
-    Every backend must be bitwise-identical to the reference interpreter
-    (and hence to every other backend): counts are exact integers and the
-    RNG draw stream is consumed identically, so there is no tolerance —
-    equality is exact.  ``kernel-python`` exercises the numba bytecode
-    lowering without requiring numba; ``numba`` itself joins the axis
-    when installed.
+    Wrapping the hooks must not change a single state code: counts are
+    exact integers and the RNG draw stream is consumed identically, so
+    there is no tolerance — equality is exact.  The call counts pin the
+    seam a tracer relies on.
     """
 
-    @pytest.mark.parametrize("backend", BACKEND_AXIS)
+    @pytest.mark.parametrize("backend", [RecordingBackend], ids=["numpy"])
     @pytest.mark.parametrize("case", range(3))
     def test_deterministic(self, backend, case):
-        assert_deterministic_conformance(
-            13000 + case, backend=make_backend(backend)
-        )
+        assert_deterministic_conformance(13000 + case, backend=backend())
 
-    @pytest.mark.parametrize("backend", BACKEND_AXIS)
+    @pytest.mark.parametrize("backend", [RecordingBackend], ids=["numpy"])
     @pytest.mark.parametrize("case", range(3))
     def test_probabilistic(self, backend, case):
-        assert_probabilistic_conformance(
-            13100 + case, backend=make_backend(backend)
-        )
+        assert_probabilistic_conformance(13100 + case, backend=backend())
 
-    @pytest.mark.parametrize("backend", BACKEND_AXIS)
+    @pytest.mark.parametrize("backend", [RecordingBackend], ids=["numpy"])
     @pytest.mark.parametrize("case", range(2))
     def test_faulted(self, backend, case):
-        assert_faulted_conformance(13200 + case, backend=make_backend(backend))
+        assert_faulted_conformance(13200 + case, backend=backend())
 
-    @pytest.mark.parametrize("backend", BACKEND_AXIS)
+    @pytest.mark.parametrize("backend", [RecordingBackend], ids=["numpy"])
     @pytest.mark.parametrize("case", range(2))
     def test_faulted_probabilistic(self, backend, case):
-        assert_faulted_probabilistic_conformance(
-            13300 + case, backend=make_backend(backend)
-        )
+        assert_faulted_probabilistic_conformance(13300 + case, backend=backend())
 
-    @pytest.mark.parametrize("backend", BACKEND_AXIS)
+    @pytest.mark.parametrize("backend", [RecordingBackend], ids=["numpy"])
     @pytest.mark.parametrize("case", range(2))
     def test_churn(self, backend, case):
-        assert_churn_conformance(13600 + case, backend=make_backend(backend))
+        assert_churn_conformance(13600 + case, backend=backend())
 
-    @pytest.mark.parametrize("backend", BACKEND_AXIS)
+    @pytest.mark.parametrize("backend", [RecordingBackend], ids=["numpy"])
     @pytest.mark.parametrize("case", range(2))
     def test_churn_probabilistic(self, backend, case):
-        assert_churn_probabilistic_conformance(
-            13700 + case, backend=make_backend(backend)
-        )
+        assert_churn_probabilistic_conformance(13700 + case, backend=backend())
 
-    @pytest.mark.parametrize("backend", BACKEND_AXIS)
+    @pytest.mark.parametrize("backend", [RecordingBackend], ids=["numpy"])
     @pytest.mark.parametrize("case", range(2))
     def test_quotient_deterministic(self, backend, case):
-        assert_quotient_deterministic_conformance(
-            13400 + case, backend=make_backend(backend)
-        )
+        assert_quotient_deterministic_conformance(13400 + case, backend=backend())
 
-    @pytest.mark.parametrize("backend", BACKEND_AXIS)
+    @pytest.mark.parametrize("backend", [RecordingBackend], ids=["numpy"])
     @pytest.mark.parametrize("case", range(2))
     def test_quotient_probabilistic(self, backend, case):
-        assert_quotient_probabilistic_conformance(
-            13500 + case, backend=make_backend(backend)
-        )
+        assert_quotient_probabilistic_conformance(13500 + case, backend=backend())
 
     def test_backend_name_pass_through(self):
         """Engines accept both a name and a prebuilt backend instance."""
@@ -966,11 +961,47 @@ class TestBackendConformance:
         states, programs = random_deterministic_programs(rng, 3)
         net = random_network(rng, 1)
         init = random_init(rng, net, states)
+        rec = RecordingBackend()
         by_name = VectorizedSynchronousEngine(net, programs, init,
-                                              backend="array-api")
-        by_obj = VectorizedSynchronousEngine(net, programs, init,
-                                             backend=make_backend("array-api"))
-        assert by_name.backend.name == by_obj.backend.name == "array-api"
+                                              backend="numpy")
+        by_obj = VectorizedSynchronousEngine(net, programs, init, backend=rec)
+        assert by_obj.backend is rec
+        assert by_name.backend.name == by_obj.backend.name == "numpy"
+
+    def test_hooks_fire_once_per_executed_step(self):
+        from repro.algorithms import two_coloring as tc
+
+        net = generators.cycle_graph(12)
+        init = NetworkState.from_function(
+            net, lambda v: tc.RED if v == 0 else tc.BLANK
+        )
+        rec = RecordingBackend()
+        res = run(tc.sticky_programs(), net, init, backend=rec)
+        assert res.backend == "numpy"
+        assert res.steps > 1
+        assert rec.calls == {
+            "neighbour_counts": res.steps, "transition": res.steps, "draw": 0,
+        }
+
+    def test_draw_fires_once_per_active_replica_per_step(self):
+        from repro.algorithms import election
+
+        net = generators.complete_graph(6)
+        rec = RecordingBackend()
+        res = run(
+            election.coin_kernel_programs(), net,
+            election.coin_kernel_init(net), replicas=3, randomness=2,
+            rng=7, backend=rec,
+        )
+        rounds = [int(k) for k in res.replica_rounds]
+        assert len(set(rounds)) > 1, "replicas must stop at different steps"
+        assert res.backend == "numpy"
+        assert res.steps == max(rounds)
+        assert rec.calls == {
+            "neighbour_counts": res.steps,
+            "transition": res.steps,
+            "draw": sum(rounds),
+        }
 
 
 # ----------------------------------------------------------------------
