@@ -4,6 +4,11 @@ Every generator returns a fresh :class:`~repro.network.graph.Network` whose
 nodes are consecutive integers starting at 0 (except where documented).
 Randomized generators take an explicit ``rng`` (``numpy.random.Generator``)
 or integer seed so that every experiment is replayable.
+
+The regular families (path, cycle, circulant, complete, grid, torus,
+hypercube) compute their edge arrays in numpy, each edge once and in the
+order a node-by-node loop of :meth:`~repro.network.graph.Network.add_edge`
+calls would add it, and build the network with ``Network._from_edges``.
 """
 
 from __future__ import annotations
@@ -51,16 +56,16 @@ def path_graph(n: int) -> Network:
     """P_n: nodes 0..n-1 in a line."""
     if n < 1:
         raise ValueError("path_graph requires n >= 1")
-    return Network(nodes=range(n), edges=((i, i + 1) for i in range(n - 1)))
+    eu = np.arange(n - 1, dtype=np.int64)
+    return Network._from_edges(n, eu, eu + 1)
 
 
 def cycle_graph(n: int) -> Network:
     """C_n: a cycle on n >= 3 nodes."""
     if n < 3:
         raise ValueError("cycle_graph requires n >= 3")
-    g = path_graph(n)
-    g.add_edge(n - 1, 0)
-    return g
+    eu = np.arange(n, dtype=np.int64)  # the path, then the edge (n-1, 0)
+    return Network._from_edges(n, eu, (eu + 1) % n)
 
 
 def circulant_graph(n: int, offsets) -> Network:
@@ -76,23 +81,20 @@ def circulant_graph(n: int, offsets) -> Network:
     offs = sorted({int(d) % n for d in offsets} - {0})
     if not offs:
         raise ValueError("circulant_graph needs at least one nonzero offset")
-    g = Network(nodes=range(n))
-    for i in range(n):
-        for d in offs:
-            j = (i + d) % n
-            if i != j and not g.has_edge(i, j):
-                g.add_edge(i, j)
-    return g
+    # (i, d) for i ascending, then d ascending.  The edge {i, i + d} is
+    # also reached as (i + d mod n, n - d) when n - d is an offset, so it
+    # is added by whichever of the two comes first: (i, d) iff i + d < n.
+    i = np.repeat(np.arange(n, dtype=np.int64), len(offs))
+    d = np.tile(np.asarray(offs, dtype=np.int64), n)
+    first = (i + d < n) | ~np.isin(n - d, offs)
+    return Network._from_edges(n, i[first], (i[first] + d[first]) % n)
 
 
 def complete_graph(n: int) -> Network:
     """K_n."""
     if n < 1:
         raise ValueError("complete_graph requires n >= 1")
-    return Network(
-        nodes=range(n),
-        edges=((i, j) for i in range(n) for j in range(i + 1, n)),
-    )
+    return Network._from_edges(n, *np.triu_indices(n, k=1))
 
 
 def star_graph(n_leaves: int) -> Network:
@@ -117,28 +119,28 @@ def grid_graph(rows: int, cols: int) -> Network:
     """rows x cols grid; node (r, c) is the integer r*cols + c."""
     if rows < 1 or cols < 1:
         raise ValueError("grid dimensions must be positive")
-    g = Network(nodes=range(rows * cols))
-    for r in range(rows):
-        for c in range(cols):
-            v = r * cols + c
-            if c + 1 < cols:
-                g.add_edge(v, v + 1)
-            if r + 1 < rows:
-                g.add_edge(v, v + cols)
-    return g
+    # per node v = r*cols + c: the edge right, then the edge down
+    v = np.arange(rows * cols, dtype=np.int64)
+    keep = np.stack((v % cols + 1 < cols, v // cols + 1 < rows), axis=1).ravel()
+    eu = np.repeat(v, 2)[keep]
+    ev = np.stack((v + 1, v + cols), axis=1).ravel()[keep]
+    return Network._from_edges(rows * cols, eu, ev)
 
 
 def torus_graph(rows: int, cols: int) -> Network:
     """rows x cols torus (grid with wraparound); needs both dims >= 3."""
     if rows < 3 or cols < 3:
         raise ValueError("torus dimensions must be >= 3 to stay simple")
-    g = Network(nodes=range(rows * cols))
-    for r in range(rows):
-        for c in range(cols):
-            v = r * cols + c
-            g.add_edge(v, r * cols + (c + 1) % cols)
-            g.add_edge(v, ((r + 1) % rows) * cols + c)
-    return g
+    # per node v = r*cols + c: the edge right, then the edge down (with
+    # both dims >= 3 no two of these coincide)
+    n = rows * cols
+    v = np.arange(n, dtype=np.int64)
+    r, c = v // cols, v % cols
+    right = r * cols + (c + 1) % cols
+    down = (v + cols) % n
+    return Network._from_edges(
+        n, np.repeat(v, 2), np.stack((right, down), axis=1).ravel()
+    )
 
 
 def hypercube_graph(dim: int) -> Network:
@@ -146,13 +148,11 @@ def hypercube_graph(dim: int) -> Network:
     if dim < 1:
         raise ValueError("hypercube dimension must be >= 1")
     n = 1 << dim
-    g = Network(nodes=range(n))
-    for v in range(n):
-        for b in range(dim):
-            u = v ^ (1 << b)
-            if u > v:
-                g.add_edge(v, u)
-    return g
+    # per node v: bits b ascending, keeping the partner above v
+    v = np.repeat(np.arange(n, dtype=np.int64), dim)
+    u = v ^ np.tile(np.int64(1) << np.arange(dim, dtype=np.int64), n)
+    up = u > v
+    return Network._from_edges(n, v[up], u[up])
 
 
 def binary_tree(height: int) -> Network:

@@ -1,20 +1,30 @@
 """Simple undirected graphs with fault (deletion) and churn support.
 
 The :class:`Network` class is the substrate for every simulation in this
-package.  It is deliberately small and dependency-free: adjacency sets over
-hashable node identifiers, with O(1) amortised edge insertion/removal and
-O(deg) node removal.  Deletions model the paper's *decreasing benign faults*
+package.  Its mutable form is adjacency sets over hashable node
+identifiers, with O(1) amortised edge insertion/removal and O(deg) node
+removal.  Deletions model the paper's *decreasing benign faults*
 (Section 1); the churn layer (:mod:`repro.runtime.churn`) additionally
 re-adds nodes and edges mid-run, using the batch :meth:`Network.add_nodes`
 / :meth:`Network.add_edges` constructors, which amortise cache
 invalidation over the whole batch.
 
 For vectorized engines, :meth:`Network.to_csr` exports a
-``scipy.sparse.csr_matrix`` adjacency plus a stable node ordering.
+``scipy.sparse.csr_matrix`` adjacency plus a stable node ordering.  The
+regular generator families (:mod:`repro.network.generators`) build a
+network from edge arrays instead: nodes ``0..n-1`` and each edge listed
+once, in the order the node-by-node construction would add it.  Such a
+network answers its node queries, sizes, :meth:`~Network.copy` and
+:meth:`~Network.to_csr` from the arrays; the adjacency sets are built on
+the first query or mutation that needs them, by replaying the edges in
+order, so neighbour iteration order is the same as if the network had
+been built edge by edge.
 """
 
 from __future__ import annotations
 
+import numbers
+import operator
 from collections import deque
 from collections.abc import Hashable, Iterable, Iterator
 from typing import Optional
@@ -62,6 +72,11 @@ class Network:
         edges: Optional[Iterable[Edge]] = None,
     ) -> None:
         self._adj: dict[Node, set[Node]] = {}
+        #: what the node queries read: ``_adj`` itself, or ``range(n)``
+        #: while an array-built network has no adjacency sets yet
+        self._vertices = self._adj
+        #: ``(eu, ev)`` of an array-built network until ``_adj`` is built
+        self._edge_arrays: Optional[tuple[np.ndarray, np.ndarray]] = None
         self._num_edges = 0
         self._csr_cache: Optional[tuple] = None
         #: CSR exports actually built (cache misses) — telemetry reads the
@@ -78,6 +93,25 @@ class Network:
         if edges is not None:
             for u, v in edges:
                 self.add_edge(u, v)
+
+    @staticmethod
+    def _from_edges(n: int, eu: np.ndarray, ev: np.ndarray) -> "Network":
+        """The network on nodes ``0..n-1`` with edges ``(eu[k], ev[k])``.
+
+        Each undirected edge must be listed once, with no self-loops, in
+        the order a node-by-node construction calls :meth:`add_edge`: the
+        adjacency sets are built by replaying exactly that sequence, so
+        neighbour iteration order matches the edge-by-edge network.
+        """
+        net = _ArrayNetwork()
+        del net._adj
+        eu = np.asarray(eu, dtype=np.int64)
+        ev = np.asarray(ev, dtype=np.int64)
+        eu.flags.writeable = ev.flags.writeable = False  # shared by copies
+        net._vertices = range(n)
+        net._edge_arrays = (eu, ev)
+        net._num_edges = int(eu.shape[0])
+        return net
 
     # ------------------------------------------------------------------
     # construction
@@ -175,7 +209,7 @@ class Network:
     @property
     def num_nodes(self) -> int:
         """``n = |V|``."""
-        return len(self._adj)
+        return len(self._vertices)
 
     @property
     def num_edges(self) -> int:
@@ -183,17 +217,17 @@ class Network:
         return self._num_edges
 
     def __len__(self) -> int:
-        return len(self._adj)
+        return len(self._vertices)
 
     def __contains__(self, v: Node) -> bool:
-        return v in self._adj
+        return v in self._vertices
 
     def __iter__(self) -> Iterator[Node]:
-        return iter(self._adj)
+        return iter(self._vertices)
 
     def nodes(self) -> list[Node]:
         """All node identifiers, in insertion order."""
-        return list(self._adj)
+        return list(self._vertices)
 
     def edges(self) -> list[Edge]:
         """Each undirected edge exactly once, canonically oriented.
@@ -338,9 +372,14 @@ class Network:
     # derivation
     # ------------------------------------------------------------------
     def copy(self) -> "Network":
-        g = Network()
-        g._adj = {v: set(nbrs) for v, nbrs in self._adj.items()}
-        g._num_edges = self._num_edges
+        if self._edge_arrays is not None:
+            g = Network._from_edges(len(self._vertices), *self._edge_arrays)
+        else:
+            g = Network()
+            g._adj = g._vertices = {
+                v: set(nbrs) for v, nbrs in self._adj.items()
+            }
+            g._num_edges = self._num_edges
         g._symmetry = self._symmetry
         return g
 
@@ -371,7 +410,7 @@ class Network:
     # ------------------------------------------------------------------
     def node_index(self) -> dict[Node, int]:
         """A stable node → row-index map (insertion order)."""
-        return {v: i for i, v in enumerate(self._adj)}
+        return {v: i for i, v in enumerate(self._vertices)}
 
     def to_csr(self) -> tuple[sparse.csr_matrix, list[Node]]:
         """Adjacency matrix in CSR form plus the node ordering used.
@@ -384,25 +423,38 @@ class Network:
         node/edge mutation, so fault lowering (which re-exports the CSR
         only at topology changes) and repeated engine construction on a
         static network pay the export once.  Callers must treat the
-        returned matrix and order as read-only snapshots.
+        returned matrix and order as read-only snapshots.  An array-built
+        network exports straight from its edge arrays, without building
+        its adjacency sets.
         """
         if self._csr_cache is not None:
             return self._csr_cache
         order = self.nodes()
-        index = {v: i for i, v in enumerate(order)}
         n = len(order)
-        # build the CSR arrays directly from the adjacency sets (each row's
-        # entries are distinct by construction, so no COO deduplication pass)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        cols = np.empty(2 * self._num_edges, dtype=np.int64)
-        k = 0
-        for i, v in enumerate(order):
-            for u in self._adj[v]:
-                cols[k] = index[u]
-                k += 1
-            indptr[i + 1] = k
-        data = np.ones(k, dtype=np.int64)
-        mat = sparse.csr_matrix((data, cols[:k], indptr), shape=(n, n))
+        if self._edge_arrays is not None:
+            # both orientations of every listed edge, as COO; the nodes are
+            # 0..n-1, so node ids are already row indices
+            eu, ev = self._edge_arrays
+            rows = np.concatenate((eu, ev))
+            data = np.ones(rows.shape[0], dtype=np.int64)
+            mat = sparse.csr_matrix(
+                (data, (rows, np.concatenate((ev, eu)))), shape=(n, n)
+            )
+        else:
+            # build the CSR arrays directly from the adjacency sets (each
+            # row's entries are distinct by construction, so no COO
+            # deduplication pass)
+            index = {v: i for i, v in enumerate(order)}
+            indptr = np.zeros(n + 1, dtype=np.int64)
+            cols = np.empty(2 * self._num_edges, dtype=np.int64)
+            k = 0
+            for i, v in enumerate(order):
+                for u in self._adj[v]:
+                    cols[k] = index[u]
+                    k += 1
+                indptr[i + 1] = k
+            data = np.ones(k, dtype=np.int64)
+            mat = sparse.csr_matrix((data, cols[:k], indptr), shape=(n, n))
         mat.sort_indices()
         self.csr_rebuilds += 1
         self._csr_cache = (mat, order)
@@ -425,3 +477,40 @@ class Network:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Network(n={self.num_nodes}, m={self.num_edges})"
+
+
+class _ArrayNetwork(Network):
+    """A :class:`Network` from :meth:`Network._from_edges` whose adjacency
+    sets are not built yet.
+
+    The first access to ``_adj`` builds them by replaying the edge arrays
+    and turns the instance into a plain :class:`Network`.  The hook lives
+    on this subclass, not on :class:`Network`, because a class that
+    defines ``__getattr__`` loses the interpreter's fast attribute
+    lookups, and materialized networks must not pay for laziness on every
+    ``neighbors``/``has_edge`` call.
+    """
+
+    def __contains__(self, v: Node) -> bool:
+        # ``in range`` is O(1) only for Python ints; other integer types
+        # go through ``__index__``, and only a number can equal a node
+        try:
+            return operator.index(v) in self._vertices
+        except TypeError:
+            return isinstance(v, numbers.Number) and v in self._vertices
+
+    def __getattr__(self, name: str):
+        # reached only for attributes missing from the instance
+        if name != "_adj":
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}"
+            )
+        eu, ev = self._edge_arrays
+        adj: dict[Node, set[Node]] = {v: set() for v in self._vertices}
+        for u, v in zip(eu.tolist(), ev.tolist()):
+            adj[u].add(v)
+            adj[v].add(u)
+        self._adj = self._vertices = adj
+        self._edge_arrays = None
+        self.__class__ = Network
+        return adj

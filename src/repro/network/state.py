@@ -16,7 +16,15 @@ from repro.network.graph import Network, Node
 
 State = Hashable
 
-__all__ = ["NetworkState", "State"]
+__all__ = ["NetworkState", "State", "require_states"]
+
+
+def require_states(init: Mapping, nodes: Iterable[Node]) -> None:
+    """Raise :class:`ValueError` naming the first few of ``nodes`` that
+    ``init`` assigns no state."""
+    missing = [v for v in nodes if v not in init]
+    if missing:
+        raise ValueError(f"initial state missing for nodes {missing[:5]!r}…")
 
 
 class NetworkState(Mapping):

@@ -53,7 +53,7 @@ from scipy import sparse
 
 from repro.core.ir import lower
 from repro.network.graph import Network
-from repro.network.state import NetworkState
+from repro.network.state import NetworkState, require_states
 from repro.runtime.backends import DEFAULT_MAX_STEPS, resolve_backend
 from repro.runtime.churn import (
     EDGE_DOWN,
@@ -75,7 +75,8 @@ def _encode_states(
 
     Pass ``net`` when the order spans a plan's union topology: rows whose
     node has not arrived yet hold a placeholder 0 until their ``node-up``
-    event scatters the boot state in.
+    event scatters the boot state in.  A node ``init`` leaves out raises
+    the reference simulator's :class:`ValueError`.
     """
     if net is not None:
         codes = (code[init[v]] if v in net else 0 for v in order)
@@ -83,7 +84,12 @@ def _encode_states(
         codes = map(code.__getitem__, init.states_of(order))
     else:
         codes = map(code.__getitem__, map(init.__getitem__, order))
-    return np.fromiter(codes, dtype=np.int64, count=len(order))
+    try:
+        return np.fromiter(codes, dtype=np.int64, count=len(order))
+    except KeyError:
+        # also raised by a state outside the alphabet, which stays a KeyError
+        require_states(init, order if net is None else net)
+        raise
 
 
 class _ChurnMask:

@@ -65,7 +65,7 @@ from scipy import sparse
 from repro.core.automaton import FSSGA, ProbabilisticFSSGA
 from repro.core.ir import CompiledAutomaton, QuotientLoweringError
 from repro.network.graph import Network
-from repro.network.state import NetworkState
+from repro.network.state import NetworkState, require_states
 from repro.network.symmetry import SymmetryError
 from repro.runtime.backends import NumpyBackend
 from repro.runtime.churn import ChurnPlan
@@ -124,15 +124,19 @@ def quotient_blocker(
             f"{type(init).__name__}",
         )
     part = net.orbit_partition()
-    for v, j in part.orbit_of.items():
-        rep = part.reps[j]
-        if init[v] != init[rep]:
-            return (
-                "init-not-orbit-constant",
-                f"initial state is not orbit-constant: node {v!r} has state "
-                f"{init[v]!r} but its orbit representative {rep!r} has "
-                f"{init[rep]!r}",
-            )
+    try:
+        for v, j in part.orbit_of.items():
+            rep = part.reps[j]
+            if init[v] != init[rep]:
+                return (
+                    "init-not-orbit-constant",
+                    f"initial state is not orbit-constant: node {v!r} has "
+                    f"state {init[v]!r} but its orbit representative {rep!r} "
+                    f"has {init[rep]!r}",
+                )
+    except KeyError:
+        require_states(init, net)
+        raise
     return None
 
 
@@ -145,24 +149,16 @@ def quotient_topology(net: Network) -> Topology:
     """
     part = net.orbit_partition()
     k = part.num_orbits
-    indptr = np.zeros(k + 1, dtype=np.int64)
-    cols: list[int] = []
-    data: list[int] = []
-    for i, rep in enumerate(part.reps):
-        row: dict[int, int] = {}
-        for u in net.neighbors(rep):
-            j = part.orbit_of[u]
-            row[j] = row.get(j, 0) + 1
-        for j in sorted(row):
-            cols.append(j)
-            data.append(row[j])
-        indptr[i + 1] = len(cols)
+    lift = np.fromiter(part.orbit_of.values(), dtype=np.int64, count=len(part.orbit_of))
+    # orbits are numbered by first row, so orbit j's first row is its rep;
+    # the reps' CSR rows, columns mapped through lift, summed as COO
+    reps = np.unique(lift, return_index=True)[1]
+    rep_rows = net.to_csr()[0][reps]
+    rows = np.repeat(np.arange(k, dtype=np.int64), np.diff(rep_rows.indptr))
     quotient = sparse.csr_matrix(
-        (np.asarray(data, dtype=np.int64), np.asarray(cols, dtype=np.int64),
-         indptr),
+        (np.ones(rows.shape[0], dtype=np.int64), (rows, lift[rep_rows.indices])),
         shape=(k, k),
     )
-    lift = np.fromiter(part.orbit_of.values(), dtype=np.int64, count=len(part.orbit_of))
     return Topology(
         quotient, list(part.reps), list(part.orbit_of), lift,
         np.asarray(part.sizes, dtype=np.int64),

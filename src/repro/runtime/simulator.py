@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.core.automaton import FSSGA, ProbabilisticFSSGA
 from repro.network.graph import Network, Node
-from repro.network.state import NetworkState
+from repro.network.state import NetworkState, require_states
 from repro.runtime.backends import DEFAULT_MAX_STEPS
 from repro.runtime.churn import ChurnPlan, count_down_events
 from repro.runtime.scheduler import RandomScheduler, Scheduler
@@ -45,9 +45,7 @@ class _BaseSimulator:
         trace: Optional[Trace] = None,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
-        missing = [v for v in net if v not in init]
-        if missing:
-            raise ValueError(f"initial state missing for nodes {missing[:5]!r}…")
+        require_states(init, net)
         self.net = net
         self.automaton = automaton
         self.state = init.copy()

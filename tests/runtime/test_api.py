@@ -371,6 +371,21 @@ class TestValidation:
         with pytest.raises(TypeError):
             run(_hold_programs(), net, init, until="sideways")
 
+    @pytest.mark.parametrize(
+        "kw",
+        [{"engine": "reference"}, {"engine": "vectorized"},
+         {"engine": "batched", "replicas": 2}, {"engine": "quotient"}],
+        ids=lambda kw: kw["engine"],
+    )
+    def test_init_missing_a_node_names_it_on_every_engine(self, kw):
+        from repro.network.symmetry import cyclic_rotation
+
+        net = generators.cycle_graph(8)
+        net.declare_symmetry(cyclic_rotation(8))
+        init = NetworkState({v: "a" for v in range(7)})
+        with pytest.raises(ValueError, match=r"initial state missing for nodes \[7\]"):
+            run(_hold_programs(), net, init, until=2, **kw)
+
 
 # ----------------------------------------------------------------------
 # capability negotiation over the compiler IR
