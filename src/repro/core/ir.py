@@ -87,6 +87,11 @@ _PRUNE_WORK_LIMIT = 50_000
 #: Bound-inference retry budget (each retry widens exactly one bound).
 _MAX_WIDENINGS = 64
 
+#: Most cells (``s·r`` keys × counter vectors) a Lemma 3.8 counter table
+#: may have; above it the step kernel runs the cascade.  Tests lower it to
+#: force the cascade path.
+_COUNTER_TABLE_CAP = 1 << 16
+
 
 class LoweringError(TypeError):
     """The automaton cannot be lowered to the engine IR.
@@ -170,12 +175,29 @@ class StepTables(NamedTuple):
         ``(s·r,)`` successor codes indexed by ``key = code·r + draw``: a
         clause-less program's default, ``code`` itself (hold) for a key the
         table lacks, and the default for the programs with clauses, whose
-        nodes are then overwritten by cascade resolution.
+        nodes are then overwritten by cascade resolution.  Its dtype, the
+        narrowest signed integer holding the alphabet, is the dtype the
+        array engine stores state codes in.
     ``clause_programs``
         ``((key, CompiledProgram), …)`` for the programs with clauses.
     ``decode``
         The alphabet as an object array: ``decode[codes]`` maps a code
         array back to states in one gather.
+    ``counters``
+        ``((T, L), …)``, one Lemma 3.8 counter per count column: ``T`` is
+        the largest threshold of an atom on that state (0 if none) and
+        ``L`` the lcm of its moduli (1 if none).  Every atom on the state
+        reads a count ``c`` only through its *counter index* ``c`` if
+        ``c < T``, else ``T + (c − T) mod L`` — one of ``T + L`` values,
+        and itself a count with the same atom truth values.
+    ``counter_table``
+        ``(s·r, C)`` successor codes, ``C = ∏(T + L)``: row ``key``,
+        column the counter indices of the count columns in row-major
+        order, so a step's transition is one gather.  Filled at lowering
+        by the cascade itself (:func:`~repro.runtime.backends.kernels.transition`
+        on the counter grid), so the two paths cannot disagree.  ``None``
+        when ``s·r·C`` exceeds a private cap (for example BFS, whose
+        counter space has 2^36 cells); the cascade then runs every step.
     """
 
     feature_states: np.ndarray
@@ -183,6 +205,8 @@ class StepTables(NamedTuple):
     lut: np.ndarray
     clause_programs: tuple
     decode: np.ndarray
+    counters: tuple
+    counter_table: Optional[np.ndarray] = None
 
 
 def _hold(q: State) -> ModThreshProgram:
@@ -266,13 +290,15 @@ class CompiledAutomaton:
         not hashed themselves.
         """
         if self._step_tables is None:
+            from repro.runtime.backends.kernels import narrow_int, transition
+
             s, r = len(self.alphabet), self.randomness
             used = {a.state for a in self.atoms}
             feature_states = np.array(
                 [c for c, q in enumerate(self.alphabet) if q in used],
                 dtype=np.int64,
             )
-            lut = np.repeat(np.arange(s, dtype=np.int64), r)  # hold
+            lut = np.repeat(np.arange(s, dtype=narrow_int(s - 1)), r)  # hold
             clause_programs = []
             for (qc, draw), prog in self.table.items():
                 if draw >= r:  # never drawn
@@ -284,6 +310,11 @@ class CompiledAutomaton:
             decode = np.empty(s, dtype=object)
             for c, q in enumerate(self.alphabet):
                 decode[c] = q  # element-wise: tuple states stay scalars
+            counters = tuple(
+                self._counter(self.alphabet[c]) for c in feature_states.tolist()
+            )
+            # the cascade-only tables are complete: the fill below runs
+            # the cascade through them
             self._step_tables = StepTables(
                 feature_states=feature_states,
                 feature_column={
@@ -293,8 +324,34 @@ class CompiledAutomaton:
                 lut=lut,
                 clause_programs=tuple(clause_programs),
                 decode=decode,
+                counters=counters,
             )
+            sizes = [t + period for t, period in counters]
+            cols = math.prod(sizes)
+            if s * r * cols <= _COUNTER_TABLE_CAP:
+                # every (key, counter vector) pair, the counter indices
+                # standing in as counts
+                grid = np.indices(sizes).reshape(len(sizes), cols).T
+                keys = np.arange(s * r)
+                codes = np.repeat(keys // r, cols).astype(lut.dtype)
+                draws = np.repeat(keys % r, cols) if self.probabilistic else None
+                table = transition(
+                    self, np.tile(grid, (s * r, 1)), codes, None, draws
+                ).reshape(s * r, cols)
+                self._step_tables = self._step_tables._replace(
+                    counter_table=table
+                )
         return self._step_tables
+
+    def _counter(self, q: State) -> tuple[int, int]:
+        """``(T, L)`` of state ``q``: its largest threshold and the lcm of
+        its moduli over the atom table."""
+        return (
+            max((a.threshold for a in self.atoms
+                 if isinstance(a, ThreshAtom) and a.state == q), default=0),
+            math.lcm(*(a.modulus for a in self.atoms
+                       if isinstance(a, ModAtom) and a.state == q)),
+        )
 
     def program_for(self, q: State, draw: int = 0) -> Optional[CompiledProgram]:
         """The compiled cascade for ``(q, draw)``, or None (hold state)."""

@@ -9,6 +9,9 @@ The regular families (path, cycle, circulant, complete, grid, torus,
 hypercube) compute their edge arrays in numpy, each edge once and in the
 order a node-by-node loop of :meth:`~repro.network.graph.Network.add_edge`
 calls would add it, and build the network with ``Network._from_edges``.
+Cycles and circulants also record their residue set ``S = {±d mod n}``,
+from which the array engine counts neighbours by a stencil; editing the
+network drops it.
 """
 
 from __future__ import annotations
@@ -65,7 +68,9 @@ def cycle_graph(n: int) -> Network:
     if n < 3:
         raise ValueError("cycle_graph requires n >= 3")
     eu = np.arange(n, dtype=np.int64)  # the path, then the edge (n-1, 0)
-    return Network._from_edges(n, eu, (eu + 1) % n)
+    net = Network._from_edges(n, eu, (eu + 1) % n)
+    net._circulant = (1, n - 1)
+    return net
 
 
 def circulant_graph(n: int, offsets) -> Network:
@@ -87,7 +92,9 @@ def circulant_graph(n: int, offsets) -> Network:
     i = np.repeat(np.arange(n, dtype=np.int64), len(offs))
     d = np.tile(np.asarray(offs, dtype=np.int64), n)
     first = (i + d < n) | ~np.isin(n - d, offs)
-    return Network._from_edges(n, i[first], (i[first] + d[first]) % n)
+    net = Network._from_edges(n, i[first], (i[first] + d[first]) % n)
+    net._circulant = tuple(sorted({r for d in offs for r in (d, n - d)}))
+    return net
 
 
 def complete_graph(n: int) -> Network:

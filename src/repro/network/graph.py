@@ -66,6 +66,12 @@ class Network:
     states of *neighbours*, and the paper's graphs are simple.
     """
 
+    #: The residue set ``S = {±d mod n}`` of a circulant the generator
+    #: built (node ``i``'s neighbours are ``i + s mod n``), kept only while
+    #: the network is array-built: the array engine then counts with a
+    #: stencil instead of the CSR.
+    _circulant: Optional[tuple[int, ...]] = None
+
     def __init__(
         self,
         nodes: Optional[Iterable[Node]] = None,
@@ -374,6 +380,7 @@ class Network:
     def copy(self) -> "Network":
         if self._edge_arrays is not None:
             g = Network._from_edges(len(self._vertices), *self._edge_arrays)
+            g._circulant = self._circulant
         else:
             g = Network()
             g._adj = g._vertices = {
@@ -512,5 +519,6 @@ class _ArrayNetwork(Network):
             adj[v].add(u)
         self._adj = self._vertices = adj
         self._edge_arrays = None
+        self.__dict__.pop("_circulant", None)  # may be edited from here on
         self.__class__ = Network
         return adj

@@ -486,16 +486,22 @@ def _run_array(eng: SynchronousArrayEngine, batched: bool, until, max_steps,
             change_counts.append(len(rows))
             changes = dict.fromkeys(rows.tolist(), True)
         else:
-            new = eng._sigmas[0]
-            rows = np.flatnonzero(new != old[0])
-            # lifted: every node a changed row stands for changed
-            change_counts.append(
-                len(rows) if eng._sizes is None else int(eng._sizes[rows].sum())
-            )
-            changes = {
-                v: (eng.alphabet[old[0, i]], eng.alphabet[new[i]])
-                for i in rows for v in members[i]
-            } if observers else None
+            # the step's own change mask; the replica stepped unless
+            # it had already finished
+            diff = eng._diff
+            if diff is None:
+                change_counts.append(0)
+            elif eng._sizes is None:
+                change_counts.append(int(np.count_nonzero(diff)))
+            else:  # lifted: every node a changed row stands for changed
+                change_counts.append(int(eng._sizes[diff[0]].sum()))
+            changes = None
+            if observers:
+                new = eng._sigmas[0]
+                changes = {} if diff is None else {
+                    v: (eng.alphabet[old[0, i]], eng.alphabet[new[i]])
+                    for i in eng._changed_rows().tolist() for v in members[i]
+                }
         for ob in observers:
             ob.on_step(eng.time - 1, changes, eng.last_faults)
         return changed

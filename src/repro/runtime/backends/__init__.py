@@ -3,9 +3,10 @@
 The array engine (:mod:`repro.runtime.engine`, behind the vectorized,
 batched and quotient labels) executes a
 :class:`~repro.core.ir.CompiledAutomaton` IR, and its per-step hot path
-decomposes into three primitives — neighbour counts of the IR's feature
-states via a CSR / quotient-CSR product, atom-table evaluation,
-cascade-table state transition — plus an RNG-draw hook.  This package
+decomposes into neighbour counts of the IR's feature states (a CSR,
+quotient-CSR or circulant-stencil product) and the state transition (one
+Lemma 3.8 counter-table gather, or atom-table evaluation and cascade
+resolution), plus an RNG-draw hook.  This package
 owns that seam:
 
 * :mod:`repro.runtime.backends.kernels` — the numpy/scipy primitives;

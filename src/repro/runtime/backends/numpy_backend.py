@@ -8,16 +8,18 @@ replica bookkeeping, telemetry and state decoding.
 
 :class:`NumpyBackend` is a thin wrapper over
 :mod:`repro.runtime.backends.kernels`: neighbour counts of the IR's
-feature states via one CSR × dense product (single vector or stacked
-replicas), then the lookup-table gather plus per-group ``np.select``
-cascade resolution.  It stays a class so the hooks form a seam: a
+feature states via one operator product (a CSR, or the circulant
+stencil; single vector or stacked replicas), then one gather from the
+Lemma 3.8 counter table, or, when the IR has none, the lookup-table
+gather plus per-group ``np.select`` cascade resolution.  It stays a class so the hooks form a seam: a
 subclass can wrap :meth:`~NumpyBackend.neighbour_counts`,
 :meth:`~NumpyBackend.transition` and :meth:`~NumpyBackend.draw` (to time
 or record them) and pass the instance as ``backend=``.
 
 All hooks are shape-generic over the leading axes: ``sig`` is ``(m,)``
 or ``(R, m)`` (the array engine always passes its ``(R, m)`` replica
-stack), and ``live`` is ``(m,)``, broadcasting across replicas.
+stack), and ``live`` is ``(m,)``, broadcasting across replicas, or
+``None`` when every row has a neighbour.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ __all__ = ["NumpyBackend"]
 
 
 class NumpyBackend:
-    """Feature-state CSR counting + grouped ``np.select`` cascades."""
+    """Feature-state counting + the counter-table (or cascade) transition."""
 
     #: The ``backend=`` string; also the tag recorded in telemetry and
     #: run manifests.
@@ -42,11 +44,13 @@ class NumpyBackend:
              draws: Optional[np.ndarray], ir) -> np.ndarray:
         """One synchronous transition: counts → atoms → cascades.
 
-        ``adj`` is the ``(m, m)`` scipy CSR adjacency — the
-        live-compacted matrix under faults, or the quotient matrix ``Q``
-        with orbit multiplicities.  ``sig`` holds the integer state
-        codes, ``(m,)`` or ``(R, m)``; ``live`` is ``(m,)`` bool, and
-        ``False`` nodes (degree 0) hold their state.  ``draws`` are
+        ``adj`` is the ``(m, m)`` topology operator: the scipy CSR
+        adjacency — the live-compacted matrix under faults, or the
+        quotient matrix ``Q`` with orbit multiplicities — or a
+        :class:`~repro.runtime.engine.CirculantAdjacency`.  ``sig`` holds
+        the integer state codes, ``(m,)`` or ``(R, m)``; ``live`` is
+        ``(m,)`` bool, and ``False`` nodes (degree 0) hold their state,
+        or ``None`` when no node does.  ``draws`` are
         per-node draws in ``[0, r)`` shaped like ``sig``, or ``None``
         for deterministic automata.  ``ir`` is the
         :class:`~repro.core.ir.CompiledAutomaton` being executed.

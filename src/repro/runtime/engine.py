@@ -15,11 +15,21 @@ The engine has two parameters:
   topology with not-yet-arrived entries masked dead — or the quotient CSR
   of :mod:`repro.runtime.quotient`, whose entries are orbit
   multiplicities, together with the lift that decodes rows back to
-  nodes;
+  nodes.  An unedited cycle or circulant run without a fault plan gets
+  :class:`CirculantAdjacency` instead: its product is a sum of rotations
+  of the indicator over the residue set S = {±d mod n}, and no CSR is
+  built;
 * **R ≥ 1 replicas**, each with its own random stream and an active mask.
   Inactive replicas do not evolve and do not draw.
 
-The counts → atoms → cascades kernel itself runs through the hooks of
+The step runs on compact arrays: σ is stored in the narrowest signed
+integer dtype holding the alphabet, the CSR's entries in the narrowest
+dtype holding its largest row sum (the stencil's counts in one holding
+the degree), and by Lemma 3.8 the transition is one gather from the IR's
+counter table (:attr:`~repro.core.ir.StepTables.counter_table`), or the
+``np.select`` cascade when that table is over its cap.
+
+The counts → transition kernel itself runs through the hooks of
 :class:`~repro.runtime.backends.NumpyBackend`; this module keeps
 everything around it: state encoding and decoding (one array pass each),
 the incremental churn masks and live view, the replica masks, telemetry
@@ -44,7 +54,7 @@ interpreter, which draws once per live node in insertion order.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from functools import cached_property
 from typing import Callable, NamedTuple, Optional
 
@@ -55,6 +65,7 @@ from repro.core.ir import lower
 from repro.network.graph import Network
 from repro.network.state import NetworkState, require_states
 from repro.runtime.backends import DEFAULT_MAX_STEPS, resolve_backend
+from repro.runtime.backends.kernels import narrow_int
 from repro.runtime.churn import (
     EDGE_DOWN,
     EDGE_UP,
@@ -65,7 +76,10 @@ from repro.runtime.churn import (
     count_down_events,
 )
 
-__all__ = ["SynchronousArrayEngine", "SingleReplicaEngine", "Topology", "drive"]
+__all__ = [
+    "SynchronousArrayEngine", "SingleReplicaEngine", "Topology",
+    "CirculantAdjacency", "drive",
+]
 
 
 def _encode_states(
@@ -87,8 +101,13 @@ def _encode_states(
     try:
         return np.fromiter(codes, dtype=np.int64, count=len(order))
     except KeyError:
-        # also raised by a state outside the alphabet, which stays a KeyError
-        require_states(init, order if net is None else net)
+        # a node without a state, or a state outside the alphabet: name it
+        # as the reference simulator does
+        nodes = order if net is None else [v for v in order if v in net]
+        require_states(init, nodes)
+        for v in nodes:
+            if init[v] not in code:
+                raise ValueError(f"own state {init[v]!r} not in Q") from None
         raise
 
 
@@ -275,6 +294,57 @@ def _build_churn_mask(
     )
 
 
+class CirculantAdjacency:
+    """The adjacency of a circulant ``C_n(S)`` as a wrapped stencil.
+
+    A circulant is vertex-transitive: node ``i``'s neighbours are
+    ``i + s (mod n)`` for the residues ``s ∈ S = {±d mod n}``, so a
+    product with a dense ``(n, k)`` block is a sum of ``|S|`` row
+    rotations, with no stored entries::
+
+        (A @ x)[i] = Σ_{s ∈ S} x[(i + s) mod n]
+
+    ``dtype`` is the narrowest signed integer holding the degree ``|S|``:
+    a 0/1 indicator cast to it sums exactly, at one byte per count up to
+    degree 127, so the rotations run over arrays that fit in cache.  Row
+    sums are the degree.
+    """
+
+    __slots__ = ("shape", "dtype", "_residues")
+
+    def __init__(self, n: int, residues) -> None:
+        self.shape = (n, n)
+        self._residues = tuple(residues)
+        self.dtype = narrow_int(len(self._residues))
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        n = self.shape[0]
+        out = np.zeros(x.shape, dtype=np.result_type(self.dtype, x.dtype))
+        for s in self._residues:
+            out[: n - s] += x[s:]
+            out[n - s:] += x[:s]
+        return out
+
+    def sum(self, axis: int) -> np.ndarray:
+        """Row (or, by symmetry, column) sums: the degree everywhere."""
+        return np.full(self.shape[0], len(self._residues), dtype=np.int64)
+
+
+def _narrow_csr(adjacency, degrees: np.ndarray):
+    """``adjacency`` with its CSR entries in the narrowest dtype holding
+    the largest row sum, so the count product runs on small integers and
+    still counts exactly (a stencil already is narrow)."""
+    if not sparse.issparse(adjacency):
+        return adjacency
+    dtype = narrow_int(int(degrees.max(initial=0)))
+    if dtype == adjacency.dtype:
+        return adjacency
+    return sparse.csr_matrix(
+        (adjacency.data.astype(dtype), adjacency.indices, adjacency.indptr),
+        shape=adjacency.shape,
+    )
+
+
 class Topology(NamedTuple):
     """The operator a step multiplies by, and how its rows map to nodes.
 
@@ -286,21 +356,26 @@ class Topology(NamedTuple):
     (all ones) on the full graph.
     """
 
-    adjacency: sparse.csr_matrix
-    rows: list
-    nodes: list
+    adjacency: sparse.csr_matrix | CirculantAdjacency
+    rows: Sequence
+    nodes: Sequence
     lift: Optional[np.ndarray] = None
     sizes: Optional[np.ndarray] = None
 
 
 def full_topology(net: Network, plan: Optional[ChurnPlan]) -> Topology:
-    """The construction-time CSR for a (possibly churned) run.
+    """The construction-time operator for a (possibly churned) run.
 
-    Deletion-only (or absent) plans export the live network; plans that
-    add topology export the plan's **union topology** — every node and
-    edge the schedule can ever produce — so arrivals are pre-allocated
-    rows/entries that later just flip alive.
+    Without a plan, a circulant (or cycle) the generator built and nothing
+    has edited gets the :class:`CirculantAdjacency` stencil; anything else
+    gets the CSR, which masking needs.  Deletion-only plans export the
+    live network; plans that add topology export the plan's **union
+    topology** — every node and edge the schedule can ever produce — so
+    arrivals are pre-allocated rows/entries that later just flip alive.
     """
+    if plan is None and net._circulant is not None:
+        order = range(len(net))  # an array-built network's nodes
+        return Topology(CirculantAdjacency(len(order), net._circulant), order, order)
     if plan is not None and plan.has_additions:
         adjacency, order = plan.union_topology(net).to_csr()
     else:
@@ -435,7 +510,8 @@ class SynchronousArrayEngine:
         self._net = net
         if topology is None:
             topology = full_topology(net, fault_plan)
-        self.adjacency = topology.adjacency
+        degrees = np.asarray(topology.adjacency.sum(axis=1)).ravel()
+        self.adjacency = _narrow_csr(topology.adjacency, degrees)
         self._order, self._nodes = topology.rows, topology.nodes
         self._lift, self._sizes = topology.lift, topology.sizes
         self._n = len(self._order)
@@ -443,7 +519,11 @@ class SynchronousArrayEngine:
         self.rngs = rngs
         self.time = 0
 
-        sigmas = np.empty((self.replicas, self._n), dtype=np.int64)
+        # the narrowest code dtype: σ, the counts and the table index of a
+        # step then stay a few bytes per node
+        sigmas = np.empty(
+            (self.replicas, self._n), dtype=self._ir.step_tables.lut.dtype
+        )
         encoded: dict = {}  # a shared init is encoded once
         for r, state in enumerate(inits):
             row = encoded.get(id(state))
@@ -464,8 +544,9 @@ class SynchronousArrayEngine:
         self._fault_mask: Optional[_ChurnMask] = None
         self._live_pos: Optional[np.ndarray] = None  # None ⇒ no fault yet
         self._live_adj = self.adjacency
-        # degree-0 rows hold their state; cached with the topology
-        self._live = np.asarray(self.adjacency.sum(axis=1)).ravel() > 0
+        self._set_live(degrees)  # cached with the topology
+        #: the last step's ``(active, stepped rows)`` change mask
+        self._diff: Optional[np.ndarray] = None
         if union:
             # arrivals need the eager mask: the t = 0 live view must
             # already exclude not-yet-arrived rows and dead edge entries
@@ -482,7 +563,13 @@ class SynchronousArrayEngine:
 
     def _set_live_view(self) -> None:
         self._live_pos, self._live_adj, deg = self._fault_mask.live_view()
-        self._live = deg > 0
+        self._set_live(deg)
+
+    def _set_live(self, degrees: np.ndarray) -> None:
+        # degree-0 rows hold their state; None when there are none spares
+        # the kernel its hold mask
+        live = degrees > 0
+        self._live = None if live.all() else live
 
     # ------------------------------------------------------------------
     @property
@@ -551,6 +638,7 @@ class SynchronousArrayEngine:
                     met.inc("fault_events", downs)
                 met.inc("churn_events", len(self.last_faults))
         if act.size == 0:
+            self._diff = None
             return np.zeros(self.replicas, dtype=bool)
         every = act.size == self.replicas
         # every replica active and no fault fired: step σ whole; otherwise
@@ -568,13 +656,13 @@ class SynchronousArrayEngine:
             # replica order — replica r matches a solo run on rngs[r]
             per = [self.backend.draw(self.rngs[r], self.randomness, m)
                    for r in act.tolist()]
-            draws = per[0] if one else np.stack(per)
+            draws = per[0] if one else np.concatenate(per).reshape(sig.shape)
         else:
             draws = None
         new_sig = self.backend.step(
             adj, sig[0] if one else sig, self._live, draws, self._ir
         ).reshape(sig.shape)
-        diff = new_sig != sig
+        self._diff = diff = new_sig != sig
         if every:
             changed = diff.any(axis=1)
         else:  # inactive replicas report False
@@ -624,6 +712,14 @@ class SynchronousArrayEngine:
             lambda r: stop(self.replica_state_counts(r)),
         )
         return self.rounds
+
+    def _changed_rows(self) -> np.ndarray:
+        """Ascending rows the last step changed in the first stepped
+        replica (the one replica of a single-replica run)."""
+        rows = np.flatnonzero(self._diff[0])
+        if self._live_pos is not None:
+            rows = np.sort(self._live_pos[rows])
+        return rows
 
     # ------------------------------------------------------------------
     def _decode(self, nodes: list, codes: np.ndarray) -> NetworkState:

@@ -46,6 +46,11 @@ does.  Trajectories must stay bitwise identical to the reference
 interpreter through the wrapped hooks, and the hooks must fire once per
 executed step (``draw`` once per active replica per step).
 
+The **transition axis** runs every class twice: as written, where each
+IR whose Lemma 3.8 counter table fits under the cap steps by one table
+gather, and again (the ``…OnCascade`` classes) with the cap at zero, so
+every step runs the ``np.select`` cascade.
+
 The default parametrization keeps cases small; the ``slow`` marker adds a
 wider randomized sweep (opt-in: ``pytest -m slow``).
 """
@@ -53,7 +58,9 @@ wider randomized sweep (opt-in: ``pytest -m slow``).
 import numpy as np
 import pytest
 
+from repro.core import ir as ir_module
 from repro.core.automaton import FSSGA, ProbabilisticFSSGA
+from repro.core.ir import clear_lowering_cache, lower
 from repro.core.modthresh import (
     And,
     ModAtom,
@@ -1040,3 +1047,51 @@ class TestConformanceSweep:
     @pytest.mark.parametrize("case", range(40))
     def test_quotient_probabilistic_wide(self, case):
         assert_quotient_probabilistic_conformance(9500 + case, scale=4, steps=12)
+
+
+# ----------------------------------------------------------------------
+# the transition axis: every class again on the cascade path
+# ----------------------------------------------------------------------
+@pytest.fixture
+def cascade_path(monkeypatch):
+    """Lower with no counter table, so every step runs the cascade."""
+    monkeypatch.setattr(ir_module, "_COUNTER_TABLE_CAP", 0)
+    clear_lowering_cache()
+    yield
+    clear_lowering_cache()
+
+
+def _on_cascade(cls):
+    """``cls``'s cases again, with the counter table disabled."""
+    sub = type(f"{cls.__name__}OnCascade", (cls,), {})
+    return pytest.mark.usefixtures("cascade_path")(sub)
+
+
+TestDeterministicConformanceOnCascade = _on_cascade(TestDeterministicConformance)
+TestProbabilisticConformanceOnCascade = _on_cascade(TestProbabilisticConformance)
+TestFaultedConformanceOnCascade = _on_cascade(TestFaultedConformance)
+TestChurnConformanceOnCascade = _on_cascade(TestChurnConformance)
+TestQuotientConformanceOnCascade = _on_cascade(TestQuotientConformance)
+TestCounterConformanceOnCascade = _on_cascade(TestCounterConformance)
+TestRuleBasedConformanceOnCascade = _on_cascade(TestRuleBasedConformance)
+TestKnownAutomataOnCascade = _on_cascade(TestKnownAutomata)
+TestBackendConformanceOnCascade = _on_cascade(TestBackendConformance)
+TestConformanceSweepOnCascade = _on_cascade(TestConformanceSweep)
+
+
+def test_the_default_cases_step_by_the_table():
+    """Without the fixture most random automata get a counter table, so
+    the classes as written do exercise the table path."""
+    tabled = 0
+    for seed in range(1000, 1010):
+        rng = np.random.default_rng(seed)
+        _, programs = random_deterministic_programs(rng, int(rng.integers(2, 5)))
+        tabled += lower(programs).step_tables.counter_table is not None
+    for seed in range(2000, 2010):
+        rng = np.random.default_rng(seed)
+        randomness = int(rng.integers(2, 4))
+        _, programs = random_probabilistic_programs(
+            rng, int(rng.integers(2, 4)), randomness
+        )
+        tabled += lower(programs, randomness).step_tables.counter_table is not None
+    assert tabled >= 15
