@@ -1,24 +1,16 @@
 """Fault-tolerant parallel campaign execution.
 
 :func:`run_campaign` shards a :class:`~repro.campaigns.spec.CampaignSpec`
-across a :class:`concurrent.futures.ProcessPoolExecutor` with
-
-* **windowed submission** — at most ``workers`` jobs in flight, so a
-  submitted job starts immediately and its wall-clock timeout measures
-  actual execution;
-* **per-job timeouts** — a job exceeding ``spec.timeout`` has its worker
-  process killed (a hung worker cannot be cancelled cooperatively), the
-  pool is rebuilt, and innocent in-flight jobs are resubmitted with fresh
-  timers;
-* **bounded retries with exponential backoff** — errors, crashes and
-  timeouts all consume one of ``spec.retries + 1`` attempts; the backoff
-  clock never blocks other jobs;
-* **crash isolation** — a worker dying mid-job (segfault, ``os._exit``)
-  breaks the whole pool by :class:`ProcessPoolExecutor` semantics, so the
-  runner rebuilds it and retries the jobs that were in flight: one dying
-  worker fails (at most) one job's attempt, never the campaign;
-* **resume** — jobs whose hash already has a completed artifact in the
-  store are skipped before anything is submitted.
+over a :class:`JobPool`, the one job executor this package and the
+service (:mod:`repro.service.jobs`) share: at most ``workers`` jobs in
+flight, per-job timeouts that kill a hung worker, bounded retries with
+``asyncio.sleep`` backoff, and crash isolation by rebuilding a broken
+pool (the rule is spelled out on :class:`JobPool`).  ``workers > 0`` runs
+every pending job as an asyncio task on the pool and appends each record
+to the store as it finishes; ``workers=0`` runs them sequentially
+in-process, the reference the pooled path is byte-compared against.  On
+either path, jobs whose hash already has a completed artifact in the
+store are skipped before anything runs (**resume**).
 
 Determinism: a job's RNG derives from its spec
 (:meth:`~repro.campaigns.spec.JobSpec.seed_sequence`), never from
@@ -29,13 +21,12 @@ aggregates byte-identical (see ``repro.campaigns.aggregate``).
 
 from __future__ import annotations
 
-import heapq
+import asyncio
 import inspect
 import os
 import time
 import traceback
-from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import Executor, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from time import perf_counter
@@ -47,7 +38,7 @@ from repro.runtime.telemetry import MetricsRegistry, _jsonable
 
 __all__ = [
     "execute_job",
-    "execute_job_async",
+    "JobPool",
     "run_campaign",
     "CampaignRunResult",
 ]
@@ -142,72 +133,6 @@ def execute_job(payload: dict, context: Optional[dict] = None) -> dict:
         }
 
 
-async def execute_job_async(
-    executor: ProcessPoolExecutor,
-    payload: dict,
-    *,
-    retries: int = 0,
-    backoff: float = 0.0,
-    timeout: Optional[float] = None,
-    on_retry: Optional[Callable] = None,
-    context: Optional[dict] = None,
-) -> dict:
-    """Async-submittable facade over :func:`execute_job`.
-
-    The batch runner above owns its own event loop (``wait`` +
-    ``time.sleep``); an asyncio host like ``repro.service`` must never
-    block its loop that way, so this coroutine runs the job on
-    ``executor`` via ``run_in_executor`` and does every retry backoff
-    with ``asyncio.sleep``.  Semantics mirror one job's slice of the
-    pooled runner: errors, crashes and timeouts each cost one of
-    ``retries + 1`` attempts, backoff doubles per attempt, and the
-    returned record always carries ``attempts``.  A broken pool is
-    reported in the record (``pool_broken=True``) rather than raised —
-    the caller owns the executor and decides whether to rebuild it.
-
-    ``timeout`` bounds the *wait*, not the worker: a timed-out worker
-    process keeps running until the caller rebuilds the pool (the same
-    hung-worker reality the batch runner handles with a pool kill).
-    """
-    import asyncio
-
-    loop = asyncio.get_running_loop()
-    attempt = 0
-    while True:
-        attempt += 1
-        pool_broken = False
-        try:
-            fut = loop.run_in_executor(executor, execute_job, payload, context)
-            record = await (
-                asyncio.wait_for(fut, timeout) if timeout is not None else fut
-            )
-        except asyncio.TimeoutError:
-            record = _failure_record(
-                payload, attempt, f"timeout after {timeout}s (wait budget)"
-            )
-            record["status"] = "error"
-            pool_broken = True  # the worker is still occupied — unusable
-        except BrokenProcessPool:
-            record = _failure_record(
-                payload, attempt, "worker process died (pool broken)"
-            )
-            record["status"] = "error"
-            pool_broken = True
-        record["attempts"] = attempt
-        if pool_broken:
-            # retrying on this executor is futile — every submit would
-            # fail instantly; hand the record back so the caller can
-            # rebuild the pool and decide about the remaining budget
-            record["pool_broken"] = True
-            return record
-        if record["status"] == "ok" or attempt > retries:
-            return record
-        if on_retry is not None:
-            on_retry(attempt, record.get("error"))
-        if backoff:
-            await asyncio.sleep(backoff * (2 ** (attempt - 1)))
-
-
 @dataclass
 class CampaignRunResult:
     """What one :func:`run_campaign` invocation did."""
@@ -225,21 +150,24 @@ class CampaignRunResult:
         return not self.failed
 
 
-def _kill_executor(executor: ProcessPoolExecutor) -> None:
+def _kill_executor(executor: Executor) -> None:
     """Hard-stop a pool whose worker may be hung.
 
-    ``shutdown(cancel_futures=True)`` cannot interrupt a *running* call,
-    so the worker processes are killed first; the broken pool is then
-    discarded.  (``_processes`` is a CPython implementation detail, but it
-    is the only per-process handle the executor exposes and has been
-    stable across every supported version.)
+    ``shutdown`` cannot interrupt a *running* call, so the worker
+    processes are killed first; every call still on the pool then fails
+    with ``BrokenProcessPool``.  Queued calls are not cancelled: a
+    cancelled call would reach its awaiting task as a ``CancelledError``,
+    indistinguishable from cancelling the task itself.  (``_processes`` is
+    a CPython implementation detail, but it is the only per-process handle
+    the executor exposes and has been stable across every supported
+    version; a thread pool has none and is only shut down.)
     """
-    for proc in list(getattr(executor, "_processes", {}).values()):
+    for proc in list((getattr(executor, "_processes", None) or {}).values()):
         try:
             proc.kill()
         except Exception:  # pragma: no cover - already-dead race
             pass
-    executor.shutdown(wait=False, cancel_futures=True)
+    executor.shutdown(wait=False)
 
 
 def _failure_record(payload: dict, attempts: int, error: str) -> dict:
@@ -253,6 +181,152 @@ def _failure_record(payload: dict, attempts: int, error: str) -> dict:
         "attempts": attempts,
         "error": error,
     }
+
+
+class JobPool:
+    """One executor and the rule for one job's attempts on it.
+
+    :func:`run_campaign` (``workers > 0``) and the service's
+    :class:`~repro.service.jobs.JobManager` both run jobs through
+    :meth:`run`, on their own event loop:
+
+    * each attempt is one ``run_in_executor`` call of :func:`execute_job`,
+      with at most ``workers`` in flight, so a job's ``timeout`` clock
+      starts when a worker is free and measures its execution;
+    * an error, a crash and a timeout each cost one of ``retries + 1``
+      attempts, and the wait before attempt k + 1 is
+      ``backoff * 2**(k-1)`` seconds of ``asyncio.sleep``;
+    * a worker dying mid-job breaks the whole executor, so every job in
+      flight on it sees ``BrokenProcessPool`` and is charged (the culprit
+      cannot be told from its siblings).  A hung worker can only be
+      stopped by killing the executor, which breaks it too.  Either way
+      the executor is rebuilt once per break, by the first job to see it;
+    * the siblings of a timed-out job were healthy: they are resubmitted
+      with fresh timers and no attempt charged, and so is a job whose
+      submit raised ``BrokenProcessPool`` (it never ran).
+
+    ``executor_factory(workers)`` builds each executor.  The batch runner
+    uses :class:`ProcessPoolExecutor`; the service needs a spawn-context
+    pool (a forked worker would hold accepted client sockets open), and
+    tests substitute a :class:`~concurrent.futures.ThreadPoolExecutor`.
+    ``state`` is ``"ok"``, ``"rebuilding"`` or ``"down"``; each rebuild
+    counts ``pool_rebuilds`` in ``metrics`` when one is given.
+    """
+
+    def __init__(
+        self,
+        workers: int,
+        executor_factory: Callable[[int], Executor] = ProcessPoolExecutor,
+        *,
+        retries: int = 0,
+        backoff: float = 0.0,
+        timeout: Optional[float] = None,
+        metrics: Optional[MetricsRegistry] = None,
+    ) -> None:
+        self.workers = workers
+        self.retries = retries
+        self.backoff = backoff
+        self.timeout = timeout
+        self.metrics = metrics
+        self._factory = executor_factory
+        self._executor = executor_factory(workers)
+        self._slots = asyncio.Semaphore(workers)
+        self._generation = 0  # bumped by each rebuild
+        self._timed_out: set[int] = set()  # generations killed on a timeout
+        self.state = "ok"
+
+    async def run(
+        self,
+        payload: dict,
+        *,
+        context: Optional[dict] = None,
+        on_retry: Optional[Callable] = None,
+    ) -> dict:
+        """Run one job until it succeeds or its attempts are spent.
+
+        Returns the ``"ok"`` record from :func:`execute_job`, or a
+        ``"failed"`` record carrying the last error; either carries
+        ``attempts``.  ``on_retry(attempt, error)`` is called after each
+        failed attempt that leaves budget for another.
+        """
+        attempt = 0
+        while True:
+            attempt += 1
+            async with self._slots:
+                record = await self._attempt(payload, context)
+            if record["status"] == "ok":
+                record["attempts"] = attempt
+                return record
+            error = record.get("error", "?")
+            if attempt > self.retries:
+                return _failure_record(payload, attempt, error)
+            if on_retry is not None:
+                on_retry(attempt, error)
+            if self.backoff:
+                await asyncio.sleep(self.backoff * (2 ** (attempt - 1)))
+
+    async def _attempt(self, payload: dict, context: Optional[dict]) -> dict:
+        """One charged attempt, holding a slot: the worker's record, or
+        an ``"error"`` record for a crash, a timeout or an executor
+        failure."""
+        loop = asyncio.get_running_loop()
+        while True:
+            generation = self._generation
+            started = time.monotonic()
+            try:
+                future = loop.run_in_executor(
+                    self._executor, execute_job, payload, context
+                )
+            except BrokenProcessPool:
+                # broken by a crash no job has reported yet; this one
+                # never ran
+                self._rebuild(generation)
+                continue
+            try:
+                return await asyncio.wait_for(future, self.timeout)
+            except asyncio.TimeoutError:
+                if generation == self._generation:
+                    self._timed_out.add(generation)
+                self._rebuild(generation)
+                return {
+                    "status": "error",
+                    "error": f"timeout after {time.monotonic() - started:.2f}s "
+                    f"(budget {self.timeout}s)",
+                }
+            except BrokenProcessPool:
+                if generation in self._timed_out:
+                    continue  # killed to stop a sibling's hang
+                self._rebuild(generation)
+                return {
+                    "status": "error",
+                    "error": "worker process died (pool broken)",
+                }
+            except Exception as exc:  # raised outside execute_job's guard
+                return {"status": "error", "error": f"executor failure: {exc!r}"}
+
+    def _rebuild(self, generation: int) -> None:
+        """Replace the executor that broke at ``generation``, unless a job
+        that saw the same break already did."""
+        if generation != self._generation:
+            return
+        self.state = "rebuilding"
+        _kill_executor(self._executor)
+        self._executor = self._factory(self.workers)
+        self._generation += 1
+        if self.metrics is not None:
+            self.metrics.inc("pool_rebuilds")
+        self.state = "ok"
+
+    def close(self, *, wait: bool = True) -> None:
+        """Shut the executor down; ``wait=False`` returns at once and
+        drops calls that have not started."""
+        self._executor.shutdown(wait=wait, cancel_futures=True)
+        self.state = "down"
+
+    def kill(self) -> None:
+        """Stop the executor now, running calls included."""
+        _kill_executor(self._executor)
+        self.state = "down"
 
 
 def _notify(progress: Optional[Callable], event: str, **info) -> None:
@@ -296,128 +370,43 @@ def _run_inline(
     return failed
 
 
-def _run_pooled(
+async def _run_concurrently(
     pending: list[dict],
     spec: CampaignSpec,
     store: ArtifactStore,
     workers: int,
     progress: Optional[Callable],
-    poll_interval: float,
 ) -> list[str]:
-    """The windowed executor loop (see module docstring)."""
+    """workers > 0: every pending job as one task on a :class:`JobPool`,
+    its record appended to the store as it finishes."""
+    pool = JobPool(
+        workers, retries=spec.retries, backoff=spec.backoff,
+        timeout=spec.timeout,
+    )
     failed: list[str] = []
-    attempts: dict[str, int] = {}
-    queue = deque(pending)
-    backoff_heap: list[tuple[float, int, dict]] = []  # (ready_at, tiebreak, payload)
-    tiebreak = 0
-    inflight: dict = {}  # future -> (payload, started_at)
-    executor = ProcessPoolExecutor(max_workers=workers)
 
-    def submit(payload: dict) -> None:
-        fut = executor.submit(execute_job, payload)
-        inflight[fut] = (payload, time.monotonic())
-
-    def reschedule(payload: dict, error: str) -> None:
-        nonlocal tiebreak
-        n = attempts[payload["job_hash"]]
-        if n <= spec.retries:
-            _notify(
-                progress, "job_retry", job_hash=payload["job_hash"],
-                attempt=n, error=error,
-            )
-            delay = spec.backoff * (2 ** (n - 1)) if spec.backoff else 0.0
-            tiebreak += 1
-            heapq.heappush(
-                backoff_heap, (time.monotonic() + delay, tiebreak, payload)
-            )
+    async def one(payload: dict) -> None:
+        key = payload["job_hash"]
+        record = await pool.run(
+            payload,
+            on_retry=lambda attempt, error: _notify(
+                progress, "job_retry", job_hash=key, attempt=attempt,
+                error=error,
+            ),
+        )
+        store.append(record)
+        if record["status"] == "ok":
+            _notify(progress, "job_done", job_hash=key)
         else:
-            store.append(_failure_record(payload, n, error))
-            failed.append(payload["job_hash"])
-            _notify(progress, "job_failed", job_hash=payload["job_hash"])
-
-    def rebuild_pool() -> None:
-        nonlocal executor
-        _kill_executor(executor)
-        # innocent in-flight jobs go back to the head of the queue with
-        # fresh timers and no attempt charged — their worker was healthy
-        for payload, _ in inflight.values():
-            queue.appendleft(payload)
-        inflight.clear()
-        executor = ProcessPoolExecutor(max_workers=workers)
+            failed.append(key)
+            _notify(progress, "job_failed", job_hash=key)
 
     try:
-        while queue or inflight or backoff_heap:
-            now = time.monotonic()
-            while backoff_heap and backoff_heap[0][0] <= now:
-                queue.append(heapq.heappop(backoff_heap)[2])
-            while queue and len(inflight) < workers:
-                payload = queue.popleft()
-                try:
-                    submit(payload)
-                except BrokenProcessPool:
-                    # the pool broke under an earlier crash before wait()
-                    # could report it; this job never ran — no attempt
-                    queue.appendleft(payload)
-                    rebuild_pool()
-            if not inflight:
-                if backoff_heap:
-                    time.sleep(
-                        max(0.0, min(backoff_heap[0][0] - time.monotonic(), 0.2))
-                    )
-                continue
-
-            done, _ = wait(
-                inflight, timeout=poll_interval, return_when=FIRST_COMPLETED
-            )
-            pool_broken = False
-            for fut in done:
-                payload, _ = inflight.pop(fut)
-                key = payload["job_hash"]
-                attempts[key] = attempts.get(key, 0) + 1
-                try:
-                    record = fut.result()
-                except BrokenProcessPool:
-                    pool_broken = True
-                    reschedule(payload, "worker process died (pool broken)")
-                    continue
-                except Exception as exc:  # pragma: no cover - defensive
-                    pool_broken = True
-                    reschedule(payload, f"executor failure: {exc!r}")
-                    continue
-                if record["status"] == "ok":
-                    record["attempts"] = attempts[key]
-                    store.append(record)
-                    _notify(progress, "job_done", job_hash=key)
-                else:
-                    reschedule(payload, record.get("error", "?"))
-            if pool_broken:
-                rebuild_pool()
-                continue
-
-            if spec.timeout is not None:
-                now = time.monotonic()
-                timed_out = [
-                    fut
-                    for fut, (_, started) in inflight.items()
-                    if now - started > spec.timeout
-                ]
-                if timed_out:
-                    # the hung workers can only be stopped by killing the
-                    # pool; charge the overdue jobs, spare the rest
-                    for fut in timed_out:
-                        payload, started = inflight.pop(fut)
-                        key = payload["job_hash"]
-                        attempts[key] = attempts.get(key, 0) + 1
-                        reschedule(
-                            payload,
-                            f"timeout after {now - started:.2f}s "
-                            f"(budget {spec.timeout}s)",
-                        )
-                    rebuild_pool()
+        await asyncio.gather(*(one(payload) for payload in pending))
     except BaseException:
-        _kill_executor(executor)
+        pool.kill()
         raise
-    executor.shutdown(wait=True)
+    pool.close()
     return failed
 
 
@@ -428,7 +417,6 @@ def run_campaign(
     workers: Optional[int] = None,
     resume: bool = True,
     progress: Optional[Callable] = None,
-    poll_interval: float = 0.05,
 ) -> CampaignRunResult:
     """Execute every job of ``spec`` into the store at ``store_dir``.
 
@@ -472,8 +460,8 @@ def run_campaign(
     elif workers == 0:
         failed = _run_inline(pending, spec, store, progress)
     else:
-        failed = _run_pooled(
-            pending, spec, store, workers, progress, poll_interval
+        failed = asyncio.run(
+            _run_concurrently(pending, spec, store, workers, progress)
         )
     result = CampaignRunResult(
         spec_hash=spec.spec_hash,

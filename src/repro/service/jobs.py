@@ -16,13 +16,25 @@ codec over it.  One submission flows through four gates, in order:
    unfinished; beyond that, submissions are rejected immediately
    (``backpressure_rejections``) rather than queued without bound.
 
-Admitted jobs run on a :class:`~concurrent.futures.ProcessPoolExecutor`
-through :func:`repro.campaigns.runner.execute_job_async` — the asyncio
-facade whose retry backoff is ``asyncio.sleep``, never a blocking
-``time.sleep`` on the event loop.  Completed records are sealed into the
-same :class:`~repro.campaigns.store.ArtifactStore` the batch runner
-uses (whose append is concurrent-writer safe), so service and batch
-executions of one spec are interchangeable and byte-identical.
+Admitted jobs run on a :class:`~repro.campaigns.runner.JobPool`, the
+job executor :func:`~repro.campaigns.runner.run_campaign` uses too, so a
+job's retries, backoff (``asyncio.sleep``, never blocking the event
+loop), timeout and pool rebuilds follow one rule in both.  The service's
+pool is spawn-context: pool workers start lazily, while client
+connections are accepted, and a forked worker would inherit every open
+socket and keep clients from ever seeing EOF.  Completed records are
+sealed into the same :class:`~repro.campaigns.store.ArtifactStore` the
+batch runner uses (whose append is concurrent-writer safe), so service
+and batch executions of one spec are interchangeable and byte-identical.
+
+A single replica dedupes in-flight jobs in memory (``_inflight``), not
+through the cluster's claim ledger.  Running every manager as a cluster
+of one (replica id ``"solo"``: each submit takes the ledger's flock and
+spools its events) was measured on serve-mixed at seed 2006, 4
+alternating pairs of 12 s on a 2-CPU host: ``ops_per_s`` fell from
+210–271 to 160–200 and ``latency_ms_p50`` rose from 5.8–7.2 to
+8.3–9.3 ms; with worker progress spooling also off it still read about
+177 against 241 ops/s.  So the in-memory shortcut stays for one replica.
 
 Progress is observable per job: every lifecycle transition is a typed
 :class:`~repro.runtime.telemetry.JobEvent` emitted into a per-job
@@ -61,7 +73,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.campaigns.runner import execute_job_async
+from repro.campaigns.runner import JobPool
 from repro.campaigns.spec import JobSpec
 from repro.campaigns.store import ArtifactStore
 from repro.runtime.telemetry import EventStream, JobEvent, MetricsRegistry
@@ -148,13 +160,21 @@ class Submission:
         return None
 
 
+def _spawn_pool(workers: int) -> ProcessPoolExecutor:
+    return ProcessPoolExecutor(
+        max_workers=workers, mp_context=multiprocessing.get_context("spawn")
+    )
+
+
 class JobManager:
     """Admission control + execution for service-submitted jobs.
 
     Single-threaded by construction: every method runs on the event
     loop, so the gate checks in :meth:`submit` are atomic without locks.
     The only concurrency is the worker pool, reached exclusively through
-    ``run_in_executor``.
+    :meth:`JobPool.run <repro.campaigns.runner.JobPool.run>`.
+    ``executor_factory`` builds the pool's executors (a spawn-context
+    process pool); tests pass a thread pool.
     """
 
     def __init__(
@@ -176,6 +196,7 @@ class JobManager:
         tenant_config=None,
         sse_keepalive: float = 15.0,
         poll_interval: float = 0.05,
+        executor_factory=_spawn_pool,
     ) -> None:
         self.store = ArtifactStore(store_dir)
         self.workers = max(1, int(workers))
@@ -193,7 +214,7 @@ class JobManager:
         self.tenant_config = tenant_config
         self.sse_keepalive = float(sse_keepalive)
         self.poll_interval = float(poll_interval)
-        self.pool_state = "down"
+        self._executor_factory = executor_factory
         self._completed: dict[str, dict] = {}
         self._inflight: dict[str, asyncio.Future] = {}
         self._tasks: set[asyncio.Task] = set()
@@ -201,7 +222,7 @@ class JobManager:
         self._subscribers: dict[str, set[asyncio.Queue]] = {}
         self._buckets: dict[str, TokenBucket] = {}
         self._bucket_generation = 0
-        self._executor: Optional[ProcessPoolExecutor] = None
+        self._pool: Optional[JobPool] = None
         # cluster-mode state (all None/empty when replica_id is unset)
         self.claims = None
         self.spool = None
@@ -222,23 +243,19 @@ class JobManager:
         """True iff this manager coordinates through a shared store."""
         return self.claims is not None
 
-    # -- lifecycle -----------------------------------------------------
-    def _make_executor(self) -> ProcessPoolExecutor:
-        # spawn, not fork: pool workers are created lazily at first
-        # submit, i.e. while client connections are accepted — a forked
-        # worker would inherit every open socket fd and keep clients'
-        # connections from ever seeing EOF after the server closes them
-        # (and forking a live event loop is its own trouble)
-        return ProcessPoolExecutor(
-            max_workers=self.workers,
-            mp_context=multiprocessing.get_context("spawn"),
-        )
+    @property
+    def pool_state(self) -> str:
+        """``"ok"``, ``"rebuilding"`` or ``"down"`` (for ``/healthz``)."""
+        return self._pool.state if self._pool is not None else "down"
 
+    # -- lifecycle -----------------------------------------------------
     def start(self) -> None:
         """Warm the completed-job cache from the store, start the pool."""
         self._refresh_store()
-        self._executor = self._make_executor()
-        self.pool_state = "ok"
+        self._pool = JobPool(
+            self.workers, self._executor_factory, retries=self.retries,
+            backoff=self.backoff, timeout=self.timeout, metrics=self.metrics,
+        )
         self.metrics.set_tag("service", "jobs")
         if self.replica_id is not None:
             self.metrics.set_tag("replica", self.replica_id)
@@ -249,20 +266,9 @@ class JobManager:
             task.cancel()
         if self._tasks:
             await asyncio.gather(*self._tasks, return_exceptions=True)
-        if self._executor is not None:
-            self._executor.shutdown(wait=False, cancel_futures=True)
-            self._executor = None
-        self.pool_state = "down"
-
-    def _rebuild_executor(self) -> None:
-        from repro.campaigns.runner import _kill_executor
-
-        self.pool_state = "rebuilding"
-        if self._executor is not None:
-            _kill_executor(self._executor)
-        self._executor = self._make_executor()
-        self.pool_state = "ok"
-        self.metrics.inc("pool_rebuilds")
+        if self._pool is not None:
+            self._pool.close(wait=False)
+            self._pool = None
 
     # -- shared-store view ---------------------------------------------
     def _refresh_store(self) -> None:
@@ -494,7 +500,7 @@ class JobManager:
         dict (its ``job_hash`` is recomputed here — the store key is
         what the server derives, not what the client claims).
         """
-        if self._executor is None:
+        if self._pool is None:
             raise RuntimeError("JobManager.start() was not called")
         spec = JobSpec.from_payload(payload)
         job_hash = spec.job_hash
@@ -573,17 +579,31 @@ class JobManager:
         job_hash = payload["job_hash"]
         lease = self._leases.get(job_hash)
         heartbeat: Optional[asyncio.Task] = None
+        context = None
         if lease is not None:
             heartbeat = asyncio.get_running_loop().create_task(
                 self._heartbeat_loop(lease)
             )
+            # workers stream step progress into the job's spool
+            context = {
+                "store_root": str(self.store.root),
+                "stride": self.progress_stride,
+                "replica": self.replica_id,
+            }
         outcome = "failed"
         try:
-            record = await self._execute_with_rebuilds(payload)
-            if record.get("status") == "ok":
-                sealed = await asyncio.get_running_loop().run_in_executor(
-                    None, self.store.append, record
-                )
+            self._emit(job_hash, "started", {"attempt": 1})
+            record = await self._pool.run(
+                payload,
+                context=context,
+                on_retry=lambda attempt, error: self._emit(
+                    job_hash, "retry", {"attempt": attempt, "error": error}
+                ),
+            )
+            sealed = await asyncio.get_running_loop().run_in_executor(
+                None, self.store.append, record
+            )
+            if sealed["status"] == "ok":
                 self._completed[job_hash] = sealed
                 self.metrics.inc("jobs_executed")
                 outcome = "done"
@@ -592,9 +612,6 @@ class JobManager:
                     {"content_hash": sealed.get("content_hash")},
                 )
             else:
-                sealed = await asyncio.get_running_loop().run_in_executor(
-                    None, self.store.append, record
-                )
                 self.metrics.inc("jobs_failed")
                 self._emit(job_hash, "failed", {"error": sealed.get("error")})
             if not future.done():
@@ -674,54 +691,6 @@ class JobManager:
             if not future.done():
                 future.cancel()
             raise
-
-    async def _execute_with_rebuilds(self, payload: dict) -> dict:
-        """Run one job, rebuilding the pool after crashes/timeouts.
-
-        The retry budget spans rebuilds: ``retries + 1`` total attempts
-        whether the failures were job errors or pool deaths.
-        """
-        job_hash = payload["job_hash"]
-        context = None
-        if self.cluster and job_hash in self._leases:
-            context = {
-                "store_root": str(self.store.root),
-                "stride": self.progress_stride,
-                "replica": self.replica_id,
-            }
-        attempts_used = 0
-        while True:
-            self._emit(job_hash, "started", {"attempt": attempts_used + 1})
-            record = await execute_job_async(
-                self._executor,
-                payload,
-                retries=self.retries - attempts_used,
-                backoff=self.backoff,
-                timeout=self.timeout,
-                on_retry=lambda attempt, error: self._emit(
-                    job_hash, "retry",
-                    {"attempt": attempts_used + attempt, "error": error},
-                ),
-                context=context,
-            )
-            attempts_used += record.get("attempts", 1)
-            if record.pop("pool_broken", False):
-                self._rebuild_executor()
-                if attempts_used <= self.retries:
-                    self._emit(
-                        job_hash, "retry",
-                        {"attempt": attempts_used, "error": record.get("error")},
-                    )
-                    if self.backoff:
-                        await asyncio.sleep(
-                            self.backoff * (2 ** (attempts_used - 1))
-                        )
-                    continue
-                record["status"] = "failed"
-            elif record.get("status") not in ("ok",):
-                record["status"] = "failed"
-            record["attempts"] = attempts_used
-            return record
 
     # -- introspection -------------------------------------------------
     def record(self, job_hash: str) -> Optional[dict]:

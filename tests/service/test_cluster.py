@@ -30,12 +30,10 @@ from repro.service.jobs import JobManager
 from repro.service.loadgen import _parse_target, http_request
 
 
-def _thread_backed(monkeypatch, workers: int = 2) -> None:
-    """Swap the spawn pool for threads — admission logic can't tell."""
-    monkeypatch.setattr(
-        JobManager, "_make_executor",
-        lambda self: ThreadPoolExecutor(max_workers=workers),
-    )
+def _threaded_manager(store_dir, **kwargs) -> JobManager:
+    """A JobManager whose pool runs on threads — admission logic can't
+    tell."""
+    return JobManager(store_dir, executor_factory=ThreadPoolExecutor, **kwargs)
 
 
 def _payload(**overrides) -> dict:
@@ -318,19 +316,15 @@ class TestLoadgenTargets:
 # two replicas over one store (thread-backed)
 # ----------------------------------------------------------------------
 def _cluster_pair(store_root, **kwargs):
-    a = JobManager(store_root, replica_id="rA", poll_interval=0.01, **kwargs)
-    b = JobManager(store_root, replica_id="rB", poll_interval=0.01, **kwargs)
+    a = _threaded_manager(store_root, replica_id="rA", poll_interval=0.01, **kwargs)
+    b = _threaded_manager(store_root, replica_id="rB", poll_interval=0.01, **kwargs)
     a.start()
     b.start()
     return a, b
 
 
 class TestClusterManagers:
-    def test_duplicates_across_replicas_execute_once(
-        self, tmp_path, monkeypatch
-    ):
-        _thread_backed(monkeypatch)
-
+    def test_duplicates_across_replicas_execute_once(self, tmp_path):
         async def go():
             a, b = _cluster_pair(tmp_path / "store")
             try:
@@ -369,11 +363,7 @@ class TestClusterManagers:
 
         asyncio.run(go())
 
-    def test_stale_lease_takeover_executes_locally(
-        self, tmp_path, monkeypatch
-    ):
-        _thread_backed(monkeypatch)
-
+    def test_stale_lease_takeover_executes_locally(self, tmp_path):
         async def go():
             store_root = tmp_path / "store"
             store_root.mkdir()
@@ -382,7 +372,7 @@ class TestClusterManagers:
             payload = _gossip_payload()
             assert ghost.acquire(_hash_of(payload)) is not None
 
-            b = JobManager(store_root, replica_id="rB", poll_interval=0.01)
+            b = _threaded_manager(store_root, replica_id="rB", poll_interval=0.01)
             b.start()
             try:
                 submission = b.submit(_gossip_payload())
@@ -398,11 +388,7 @@ class TestClusterManagers:
 
         asyncio.run(go())
 
-    def test_step_progress_visible_from_non_executor(
-        self, tmp_path, monkeypatch
-    ):
-        _thread_backed(monkeypatch)
-
+    def test_step_progress_visible_from_non_executor(self, tmp_path):
         async def go():
             a, b = _cluster_pair(tmp_path / "store")
             try:
@@ -453,15 +439,12 @@ class TestClusterManagers:
         )
         assert paced == plain
 
-    def test_tenant_config_hot_reload_drops_buckets(
-        self, tmp_path, monkeypatch
-    ):
-        _thread_backed(monkeypatch)
+    def test_tenant_config_hot_reload_drops_buckets(self, tmp_path):
         quota_path = tmp_path / "quotas.json"
         quota_path.write_text(json.dumps({"default": {"burst": 1}}))
 
         async def go():
-            manager = JobManager(
+            manager = _threaded_manager(
                 tmp_path / "store", replica_id="rQ", poll_interval=0.01,
                 tenant_config=TenantQuotaConfig(quota_path),
             )
@@ -490,11 +473,8 @@ class TestClusterManagers:
 # HTTP surfaces of cluster mode
 # ----------------------------------------------------------------------
 class TestClusterHTTP:
-    def test_healthz_reports_pool_identity_and_replica(
-        self, tmp_path, monkeypatch
-    ):
-        _thread_backed(monkeypatch)
-        manager = JobManager(tmp_path / "store", replica_id="r7")
+    def test_healthz_reports_pool_identity_and_replica(self, tmp_path):
+        manager = _threaded_manager(tmp_path / "store", replica_id="r7")
 
         async def scenario(port):
             status, _, body = await http_request(
@@ -512,15 +492,11 @@ class TestClusterHTTP:
 
         assert asyncio.run(_with_server(manager, scenario))
 
-    def test_lease_wait_maps_to_202_and_waits_byte_identically(
-        self, tmp_path, monkeypatch
-    ):
-        _thread_backed(monkeypatch)
-
+    def test_lease_wait_maps_to_202_and_waits_byte_identically(self, tmp_path):
         async def go():
             store_root = tmp_path / "store"
-            a = JobManager(store_root, replica_id="rA", poll_interval=0.01)
-            b = JobManager(store_root, replica_id="rB", poll_interval=0.01)
+            a = _threaded_manager(store_root, replica_id="rA", poll_interval=0.01)
+            b = _threaded_manager(store_root, replica_id="rB", poll_interval=0.01)
             a.start()
             b.start()
             server = await serve(b, "127.0.0.1", 0)
@@ -557,15 +533,11 @@ class TestClusterHTTP:
 
         asyncio.run(go())
 
-    def test_sse_from_non_executor_carries_step_progress(
-        self, tmp_path, monkeypatch
-    ):
-        _thread_backed(monkeypatch)
-
+    def test_sse_from_non_executor_carries_step_progress(self, tmp_path):
         async def go():
             store_root = tmp_path / "store"
-            a = JobManager(store_root, replica_id="rA", poll_interval=0.01)
-            b = JobManager(store_root, replica_id="rB", poll_interval=0.01)
+            a = _threaded_manager(store_root, replica_id="rA", poll_interval=0.01)
+            b = _threaded_manager(store_root, replica_id="rB", poll_interval=0.01)
             a.start()
             b.start()
             server = await serve(b, "127.0.0.1", 0)
@@ -601,11 +573,8 @@ class TestClusterHTTP:
 
         asyncio.run(go())
 
-    def test_sse_keepalive_comment_frames_on_idle_stream(
-        self, tmp_path, monkeypatch
-    ):
-        _thread_backed(monkeypatch)
-        manager = JobManager(tmp_path / "store", sse_keepalive=0.05)
+    def test_sse_keepalive_comment_frames_on_idle_stream(self, tmp_path):
+        manager = _threaded_manager(tmp_path / "store", sse_keepalive=0.05)
         slow = _payload(
             job="repro.campaigns.testing.hanging_job",
             params={"value": 1, "hang_values": [1], "sleep": 0.4},

@@ -1,34 +1,34 @@
 """Service-level determinism, dedupe, quota and SSE-cancellation tests.
 
-The heavy lifting happens on a thread-backed executor (monkeypatched in
-place of the spawn pool) so the admission/dedupe/streaming logic is
-exercised at full speed; one opt-in slow test and the CI smoke script
-(``python -m repro.service.smoke``) cover the real process pool.
+The heavy lifting happens on a thread-backed executor (the manager's
+``executor_factory`` in place of the spawn pool) so the
+admission/dedupe/streaming logic is exercised at full speed.  The pool's
+failure paths (a timeout kill beside a healthy sibling, a crashing
+worker) need real processes and run on the spawn pool; so do one opt-in
+slow test and the CI smoke script (``python -m repro.service.smoke``).
 """
 
 import asyncio
 import json
 from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
-from repro.campaigns.runner import execute_job_async, run_campaign
+from repro.campaigns.runner import JobPool, run_campaign
 from repro.campaigns.spec import CampaignSpec, JobSpec, canonical_json
 from repro.campaigns.store import ArtifactStore, deterministic_view
-from repro.runtime.telemetry import EventStream, JobEvent
+from repro.runtime.telemetry import EventStream, JobEvent, MetricsRegistry
 from repro.service.http import serve
 from repro.service.jobs import JobManager, TokenBucket
 from repro.service.loadgen import http_request
 from repro.service.workload import gossip_campaign_spec, gossip_sum_job
 
 
-def _thread_backed(monkeypatch, workers: int = 2) -> None:
-    """Swap the spawn pool for threads: same executor protocol, no
-    process startup cost — the admission logic cannot tell."""
-    monkeypatch.setattr(
-        JobManager, "_make_executor",
-        lambda self: ThreadPoolExecutor(max_workers=workers),
-    )
+def _threaded_manager(store_dir, **kwargs) -> JobManager:
+    """A JobManager whose pool runs on threads: same executor protocol,
+    no process startup cost — the admission logic cannot tell."""
+    return JobManager(store_dir, executor_factory=ThreadPoolExecutor, **kwargs)
 
 
 def _payload(**overrides) -> dict:
@@ -149,15 +149,21 @@ class TestJobEvents:
 
 
 # ----------------------------------------------------------------------
-# async bridge
+# the job pool
 # ----------------------------------------------------------------------
-class TestExecuteJobAsync:
-    def test_ok_path(self):
-        async def go():
-            with ThreadPoolExecutor(2) as pool:
-                return await execute_job_async(pool, _payload_with_hash())
+def _run_on_pool(pool: JobPool, payload: dict, **kwargs) -> dict:
+    async def go():
+        try:
+            return await pool.run(payload, **kwargs)
+        finally:
+            pool.close()
 
-        record = asyncio.run(go())
+    return asyncio.run(go())
+
+
+class TestJobPool:
+    def test_ok_path(self):
+        record = _run_on_pool(JobPool(2, ThreadPoolExecutor), _payload_with_hash())
         assert record["status"] == "ok"
         assert record["attempts"] == 1
 
@@ -167,15 +173,11 @@ class TestExecuteJobAsync:
             params={"value": 3, "fail_first": 2, "scratch_dir": str(tmp_path)},
         )
         retried = []
-
-        async def go():
-            with ThreadPoolExecutor(2) as pool:
-                return await execute_job_async(
-                    pool, payload, retries=3, backoff=0.001,
-                    on_retry=lambda attempt, error: retried.append(attempt),
-                )
-
-        record = asyncio.run(go())
+        record = _run_on_pool(
+            JobPool(2, ThreadPoolExecutor, retries=3, backoff=0.001),
+            payload,
+            on_retry=lambda attempt, error: retried.append(attempt),
+        )
         assert record["status"] == "ok"
         assert record["attempts"] == 3  # two injected flakes + success
         assert retried == [1, 2]
@@ -186,17 +188,30 @@ class TestExecuteJobAsync:
             job="repro.campaigns.testing.erroring_job",
             params={"value": 9, "fail_values": [9]},
         )
-
-        async def go():
-            with ThreadPoolExecutor(2) as pool:
-                return await execute_job_async(
-                    pool, payload, retries=1, backoff=0.0
-                )
-
-        record = asyncio.run(go())
-        assert record["status"] == "error"
+        record = _run_on_pool(
+            JobPool(2, ThreadPoolExecutor, retries=1, backoff=0.0), payload
+        )
+        assert record["status"] == "failed"
         assert record["attempts"] == 2
         assert "injected failure" in record["error"]
+
+    def test_broken_pool_on_submit_costs_no_attempt(self):
+        """A submit that finds the pool already broken never ran the job:
+        the pool is rebuilt and the attempt is not charged."""
+
+        class BrokenExecutor(ThreadPoolExecutor):
+            def submit(self, *args, **kwargs):
+                raise BrokenProcessPool("broken by an unreported crash")
+
+        factories = iter([BrokenExecutor, ThreadPoolExecutor])
+        metrics = MetricsRegistry()
+        pool = JobPool(
+            1, lambda workers: next(factories)(workers), metrics=metrics
+        )
+        record = _run_on_pool(pool, _payload_with_hash())
+        assert record["status"] == "ok"
+        assert record["attempts"] == 1
+        assert metrics.counters["pool_rebuilds"] == 1
 
 
 def _payload_with_hash(**overrides) -> dict:
@@ -209,11 +224,9 @@ def _payload_with_hash(**overrides) -> dict:
 # job manager: dedupe, determinism, quotas, backpressure
 # ----------------------------------------------------------------------
 class TestJobManager:
-    def test_sequential_resubmission_is_a_cache_hit(self, tmp_path, monkeypatch):
-        _thread_backed(monkeypatch)
-
+    def test_sequential_resubmission_is_a_cache_hit(self, tmp_path):
         async def go():
-            manager = JobManager(tmp_path / "store")
+            manager = _threaded_manager(tmp_path / "store")
             manager.start()
             first = manager.submit(_gossip_payload())
             record1 = await first.result()
@@ -234,14 +247,11 @@ class TestJobManager:
         ]
         assert len(lines) == 1  # exactly one execution reached the store
 
-    def test_concurrent_identical_submissions_share_one_execution(
-        self, tmp_path, monkeypatch
-    ):
-        _thread_backed(monkeypatch)
+    def test_concurrent_identical_submissions_share_one_execution(self, tmp_path):
         N = 6
 
         async def go():
-            manager = JobManager(tmp_path / "store")
+            manager = _threaded_manager(tmp_path / "store")
             manager.start()
             subs = [manager.submit(_gossip_payload()) for _ in range(N)]
             records = await asyncio.gather(*(s.result() for s in subs))
@@ -264,12 +274,9 @@ class TestJobManager:
         assert len(store.completed_hashes()) == 1
         assert store.verify() == []
 
-    def test_artifact_is_byte_identical_to_run_campaign(
-        self, tmp_path, monkeypatch
-    ):
+    def test_artifact_is_byte_identical_to_run_campaign(self, tmp_path):
         """Service execution and batch execution of one spec produce the
         same content-addressed artifact."""
-        _thread_backed(monkeypatch)
         spec = CampaignSpec(
             name="svc-vs-batch",
             job="repro.service.workload.gossip_sum_job",
@@ -284,7 +291,7 @@ class TestJobManager:
         )
 
         async def go():
-            manager = JobManager(tmp_path / "serve")
+            manager = _threaded_manager(tmp_path / "serve")
             manager.start()
             sub = manager.submit(spec.expand()[0].payload())
             record = await sub.result()
@@ -298,11 +305,9 @@ class TestJobManager:
             deterministic_view(service_record)
         ) == canonical_json(deterministic_view(batch_record))
 
-    def test_per_tenant_quota(self, tmp_path, monkeypatch):
-        _thread_backed(monkeypatch)
-
+    def test_per_tenant_quota(self, tmp_path):
         async def go():
-            manager = JobManager(
+            manager = _threaded_manager(
                 tmp_path / "store", quota_burst=2, quota_rate=0.0
             )
             manager.start()
@@ -322,13 +327,9 @@ class TestJobManager:
         assert outcome_b == "accepted"  # buckets are per tenant
         assert counters["quota_rejections"] == 2
 
-    def test_cached_hits_are_not_charged_to_the_quota(
-        self, tmp_path, monkeypatch
-    ):
-        _thread_backed(monkeypatch)
-
+    def test_cached_hits_are_not_charged_to_the_quota(self, tmp_path):
         async def go():
-            manager = JobManager(
+            manager = _threaded_manager(
                 tmp_path / "store", quota_burst=1, quota_rate=0.0
             )
             manager.start()
@@ -346,11 +347,9 @@ class TestJobManager:
         assert first_outcome == "accepted"
         assert outcomes == ["cached"] * 3
 
-    def test_backpressure_bounds_admissions(self, tmp_path, monkeypatch):
-        _thread_backed(monkeypatch)
-
+    def test_backpressure_bounds_admissions(self, tmp_path):
         async def go():
-            manager = JobManager(tmp_path / "store", queue_limit=2)
+            manager = _threaded_manager(tmp_path / "store", queue_limit=2)
             manager.start()
             outcomes = [
                 manager.submit(
@@ -379,15 +378,14 @@ class TestJobManager:
         assert counters["backpressure_rejections"] == 2
         assert counters["jobs_admitted"] == 2
 
-    def test_failed_job_records_and_events(self, tmp_path, monkeypatch):
-        _thread_backed(monkeypatch)
+    def test_failed_job_records_and_events(self, tmp_path):
         payload = _payload(
             job="repro.campaigns.testing.erroring_job",
             params={"value": 5, "fail_values": [5]},
         )
 
         async def go():
-            manager = JobManager(tmp_path / "store", retries=1, backoff=0.0)
+            manager = _threaded_manager(tmp_path / "store", retries=1, backoff=0.0)
             manager.start()
             sub = manager.submit(payload)
             record = await sub.result()
@@ -407,11 +405,9 @@ class TestJobManager:
         assert store.completed_hashes() == set()
         assert len(store.records()) == 1
 
-    def test_completed_jobs_survive_a_restart(self, tmp_path, monkeypatch):
-        _thread_backed(monkeypatch)
-
+    def test_completed_jobs_survive_a_restart(self, tmp_path):
         async def run_one():
-            manager = JobManager(tmp_path / "store")
+            manager = _threaded_manager(tmp_path / "store")
             manager.start()
             sub = manager.submit(_gossip_payload())
             record = await sub.result()
@@ -423,13 +419,9 @@ class TestJobManager:
         assert (first_outcome, second_outcome) == ("accepted", "cached")
         assert canonical_json(record1) == canonical_json(record2)
 
-    def test_late_subscriber_to_a_completed_job_terminates(
-        self, tmp_path, monkeypatch
-    ):
-        _thread_backed(monkeypatch)
-
+    def test_late_subscriber_to_a_completed_job_terminates(self, tmp_path):
         async def go():
-            manager = JobManager(tmp_path / "store")
+            manager = _threaded_manager(tmp_path / "store")
             manager.start()
             sub = manager.submit(_gossip_payload())
             await sub.result()
@@ -463,10 +455,7 @@ async def _with_server(manager, fn):
 
 
 class TestHTTP:
-    def test_submit_wait_then_cached_is_byte_identical(
-        self, tmp_path, monkeypatch
-    ):
-        _thread_backed(monkeypatch)
+    def test_submit_wait_then_cached_is_byte_identical(self, tmp_path):
         body = canonical_json(
             {
                 "campaign": "http-test",
@@ -486,7 +475,7 @@ class TestHTTP:
             return first, second
 
         (s1, h1, b1), (s2, h2, b2) = asyncio.run(
-            _with_server(JobManager(tmp_path / "store"), scenario)
+            _with_server(_threaded_manager(tmp_path / "store"), scenario)
         )
         assert (s1, s2) == (200, 200)
         assert h1["x-repro-outcome"] == "accepted"
@@ -495,10 +484,7 @@ class TestHTTP:
         record = json.loads(b1)
         assert record["status"] == "ok"
 
-    def test_concurrent_http_submissions_share_one_execution(
-        self, tmp_path, monkeypatch
-    ):
-        _thread_backed(monkeypatch)
+    def test_concurrent_http_submissions_share_one_execution(self, tmp_path):
         N = 5
         body = canonical_json(
             {
@@ -508,7 +494,7 @@ class TestHTTP:
                 "entropy": 4,
             }
         ).encode()
-        manager = JobManager(tmp_path / "store")
+        manager = _threaded_manager(tmp_path / "store")
 
         async def scenario(port):
             return await asyncio.gather(
@@ -530,13 +516,10 @@ class TestHTTP:
         )
         assert len(ArtifactStore(tmp_path / "store").completed_hashes()) == 1
 
-    def test_sse_disconnect_mid_stream_does_not_poison_the_pool(
-        self, tmp_path, monkeypatch
-    ):
+    def test_sse_disconnect_mid_stream_does_not_poison_the_pool(self, tmp_path):
         """A client that vanishes mid-SSE must neither cancel the job it
         was watching nor break later submissions."""
-        _thread_backed(monkeypatch)
-        manager = JobManager(tmp_path / "store")
+        manager = _threaded_manager(tmp_path / "store")
         slow = _payload(
             job="repro.campaigns.testing.hanging_job",
             params={"value": 1, "hang_values": [1], "sleep": 0.4},
@@ -572,10 +555,7 @@ class TestHTTP:
 
         assert asyncio.run(_with_server(manager, scenario))
 
-    def test_campaign_submission_expands_server_side(
-        self, tmp_path, monkeypatch
-    ):
-        _thread_backed(monkeypatch)
+    def test_campaign_submission_expands_server_side(self, tmp_path):
         spec = gossip_campaign_spec(jobs=3, n=12, k=4, entropy=17)
         body = json.dumps(spec.to_dict()).encode()
 
@@ -585,7 +565,7 @@ class TestHTTP:
             )
 
         status, _, resp = asyncio.run(
-            _with_server(JobManager(tmp_path / "store"), scenario)
+            _with_server(_threaded_manager(tmp_path / "store"), scenario)
         )
         assert status == 200
         summary = json.loads(resp)
@@ -594,9 +574,7 @@ class TestHTTP:
         assert summary["outcomes"] == {"accepted": 3}
         assert len(ArtifactStore(tmp_path / "store").completed_hashes()) == 3
 
-    def test_error_codes(self, tmp_path, monkeypatch):
-        _thread_backed(monkeypatch)
-
+    def test_error_codes(self, tmp_path):
         async def scenario(port):
             results = {}
             results["bad_json"] = await http_request(
@@ -618,7 +596,7 @@ class TestHTTP:
             return results
 
         results = asyncio.run(
-            _with_server(JobManager(tmp_path / "store"), scenario)
+            _with_server(_threaded_manager(tmp_path / "store"), scenario)
         )
         assert results["bad_json"][0] == 400
         assert results["bad_field"][0] == 400
@@ -626,9 +604,8 @@ class TestHTTP:
         assert results["unknown_route"][0] == 404
         assert results["wrong_method"][0] == 405
 
-    def test_quota_rejection_surfaces_as_429(self, tmp_path, monkeypatch):
-        _thread_backed(monkeypatch)
-        manager = JobManager(
+    def test_quota_rejection_surfaces_as_429(self, tmp_path):
+        manager = _threaded_manager(
             tmp_path / "store", quota_burst=1, quota_rate=0.0
         )
 
@@ -649,16 +626,14 @@ class TestHTTP:
         assert s2 == 429
         assert h2["x-repro-outcome"] == "quota_rejected"
 
-    def test_healthz_and_metrics(self, tmp_path, monkeypatch):
-        _thread_backed(monkeypatch)
-
+    def test_healthz_and_metrics(self, tmp_path):
         async def scenario(port):
             health = await http_request("127.0.0.1", port, "GET", "/healthz")
             metrics = await http_request("127.0.0.1", port, "GET", "/metrics")
             return health, metrics
 
         (hs, _, hb), (ms, _, mb) = asyncio.run(
-            _with_server(JobManager(tmp_path / "store"), scenario)
+            _with_server(_threaded_manager(tmp_path / "store"), scenario)
         )
         assert hs == 200 and json.loads(hb)["ok"] is True
         assert ms == 200
@@ -684,3 +659,80 @@ def test_spawn_pool_end_to_end(tmp_path):
     record = asyncio.run(go())
     assert record["status"] == "ok"
     assert ArtifactStore(tmp_path / "store").verify() == []
+
+
+# ----------------------------------------------------------------------
+# the pool's failure paths through JobManager, on the real spawn pool
+# ----------------------------------------------------------------------
+class TestSpawnPoolFailurePaths:
+    def test_timeout_spares_the_sibling_still_in_budget(self, tmp_path):
+        """A hung job's timeout kills the pool under a healthy sibling.
+        The sibling is resubmitted with a fresh timer and no attempt
+        charged, so it is sealed ok even with retries=0, and the one
+        break costs one rebuild."""
+        hung = _payload(
+            job="repro.campaigns.testing.hanging_job",
+            params={"value": 1, "hang_values": [1]},
+            index=1,
+        )
+        sibling = _payload(
+            job="repro.campaigns.testing.hanging_job",
+            params={"value": 2, "hang_values": [2], "sleep": 2.0},
+            index=2,
+        )
+
+        async def go():
+            manager = JobManager(
+                tmp_path / "store", workers=2, retries=0, timeout=4.0
+            )
+            manager.start()
+            try:
+                first = manager.submit(hung)
+                # the sibling starts 2.5 s in and sleeps 2 s, so it is
+                # still running when the hung job's 4 s budget runs out
+                await asyncio.sleep(2.5)
+                second = manager.submit(sibling)
+                records = await asyncio.wait_for(
+                    asyncio.gather(first.result(), second.result()), 60
+                )
+                return records, dict(manager.metrics.counters)
+            finally:
+                await manager.close()
+
+        (hung_record, sibling_record), counters = asyncio.run(go())
+        assert sibling_record["status"] == "ok"
+        assert sibling_record["attempts"] == 1
+        assert hung_record["status"] == "failed"
+        assert "timeout" in hung_record["error"]
+        assert counters["pool_rebuilds"] == 1
+        statuses = {
+            r["params"]["value"]: r["status"]
+            for r in ArtifactStore(tmp_path / "store").records().values()
+        }
+        assert statuses == {1: "failed", 2: "ok"}
+
+    def test_crash_costs_attempts_and_one_rebuild_per_break(self, tmp_path):
+        payload = _payload(
+            job="repro.campaigns.testing.crashing_job",
+            params={"value": 3, "crash_values": [3]},
+            index=3,
+        )
+
+        async def go():
+            manager = JobManager(tmp_path / "store", retries=1, backoff=0.0)
+            manager.start()
+            try:
+                sub = manager.submit(payload)
+                record = await asyncio.wait_for(sub.result(), 60)
+                statuses = [e.status for e in manager.stream(sub.job_hash)]
+                return record, statuses, dict(manager.metrics.counters)
+            finally:
+                await manager.close()
+
+        record, statuses, counters = asyncio.run(go())
+        assert record["status"] == "failed"
+        assert record["attempts"] == 2
+        assert "died" in record["error"] or "broken" in record["error"]
+        # the worker died on both attempts: two breaks, two rebuilds
+        assert counters["pool_rebuilds"] == 2
+        assert statuses == ["queued", "started", "retry", "failed"]
