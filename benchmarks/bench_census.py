@@ -10,7 +10,8 @@ import numpy as np
 
 from repro.algorithms import census
 from repro.network import generators
-from repro.runtime.faults import FaultEvent, FaultPlan
+from repro.runtime.churn import EDGE_DOWN, TopologyEvent
+from repro.runtime.faults import FaultPlan
 from repro.runtime.simulator import SynchronousSimulator
 
 from _benchlib import print_table
@@ -53,7 +54,7 @@ def test_census_component_bounds_after_disconnect(benchmark):
 
             bridge = next(iter(bridges(net)))
             aut, init = census.build(net, k=14, rng=seed)
-            plan = FaultPlan([FaultEvent(1, "edge", bridge)])
+            plan = FaultPlan([TopologyEvent(1, EDGE_DOWN, bridge)])
             sim = SynchronousSimulator(net, aut, init, rng=seed, fault_plan=plan)
             sim.run(60)
             total_n = 41

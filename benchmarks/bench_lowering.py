@@ -20,7 +20,8 @@ from repro.algorithms import random_walk as rw
 from repro.core.automaton import ProbabilisticFSSGA
 from repro.core.ir import clear_lowering_cache, lower, lowering_cache_info
 from repro.network import generators
-from repro.runtime.faults import FaultEvent, FaultPlan
+from repro.runtime.churn import NODE_DOWN, TopologyEvent
+from repro.runtime.faults import FaultPlan
 
 from _benchlib import print_table
 
@@ -76,7 +77,7 @@ def test_faulted_run_speedup(benchmark):
     frng = np.random.default_rng(7)
     victims = frng.choice(n, size=20, replace=False)
     events = [
-        FaultEvent(int(frng.integers(1, 10)), "node", int(v)) for v in victims
+        TopologyEvent(int(frng.integers(1, 10)), NODE_DOWN, int(v)) for v in victims
     ]
 
     def compute():

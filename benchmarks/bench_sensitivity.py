@@ -9,7 +9,8 @@ who survives.
 
 from repro.algorithms.beta_synchronizer import BetaSynchronizer
 from repro.network import generators
-from repro.runtime.faults import FaultEvent, FaultPlan, random_fault_plan
+from repro.runtime.churn import EDGE_DOWN, TopologyEvent
+from repro.runtime.faults import FaultPlan, random_fault_plan
 from repro.sensitivity import (
     census_under_faults,
     shortest_paths_under_faults,
@@ -26,7 +27,7 @@ def test_survival_ladder(benchmark):
             net = generators.grid_graph(4, 4)
             # one random edge fault at t=5, not incident to node 0
             plan = random_fault_plan(
-                net.copy(), 1, max_time=5, rng=seed, kinds=("edge",), protect=(0,)
+                net.copy(), 1, max_time=5, rng=seed, kinds=(EDGE_DOWN,), protect=(0,)
             )
             events = plan.events()
 
@@ -40,7 +41,7 @@ def test_survival_ladder(benchmark):
                 net.copy(), FaultPlan(list(events)), rounds=20, rng=seed
             )
             hit_tree = any(
-                e.kind == "edge"
+                e.kind == EDGE_DOWN
                 and tuple(sorted(e.target, key=repr)) in sync._tree_edges
                 for e in events
             )
@@ -74,7 +75,7 @@ def test_beta_breaks_with_targeted_fault(benchmark):
         net = generators.grid_graph(4, 4)
         sync = BetaSynchronizer(net.copy(), root=0)
         tree_edge = next(iter(sync._tree_edges))
-        plan = FaultPlan([FaultEvent(5, "edge", tree_edge)])
+        plan = FaultPlan([TopologyEvent(5, EDGE_DOWN, tree_edge)])
         return synchronizer_fault_comparison(net, plan, rounds=25, rng=0)
 
     res = benchmark.pedantic(compute, rounds=1, iterations=1)

@@ -7,7 +7,8 @@ faults); min-label routing sends every packet along a shortest path.
 
 from repro.algorithms import shortest_paths as sp
 from repro.network import generators
-from repro.runtime.faults import FaultEvent, FaultPlan
+from repro.runtime.churn import EDGE_DOWN, NODE_DOWN, TopologyEvent
+from repro.runtime.faults import FaultPlan
 from repro.runtime.simulator import SynchronousSimulator
 
 from _benchlib import print_table
@@ -45,7 +46,7 @@ def test_fault_reconvergence(benchmark):
         for seed in range(8):
             net = generators.grid_graph(6, 6)
             plan = FaultPlan(
-                [FaultEvent(4, "edge", (7, 8)), FaultEvent(9, "node", 14)]
+                [TopologyEvent(4, EDGE_DOWN, (7, 8)), TopologyEvent(9, NODE_DOWN, 14)]
             )
             aut, init = sp.build(net, [0])
             sim = SynchronousSimulator(net, aut, init, rng=seed, fault_plan=plan)

@@ -14,7 +14,8 @@ import numpy as np
 
 from repro.algorithms import census, shortest_paths
 from repro.network import generators
-from repro.runtime.faults import FaultEvent, FaultPlan
+from repro.runtime.churn import EDGE_DOWN, NODE_DOWN, TopologyEvent
+from repro.runtime.faults import FaultPlan
 
 
 def main() -> None:
@@ -46,8 +47,8 @@ def main() -> None:
     # mid-run topology changes) — run() handles the fallback.
     victims = [e for e in net.edges() if 0 not in e and 40 not in e][:6]
     plan = FaultPlan(
-        [FaultEvent(2 + i, "edge", e) for i, e in enumerate(victims[:4])]
-        + [FaultEvent(8, "node", 55)]
+        [TopologyEvent(2 + i, EDGE_DOWN, e) for i, e in enumerate(victims[:4])]
+        + [TopologyEvent(8, NODE_DOWN, 55)]
     )
     res = shortest_paths.run_labels(net, sinks, fault_plan=plan, max_steps=500)
     ok = shortest_paths.stabilized(net, res.final_state, sinks, net.num_nodes)

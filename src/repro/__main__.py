@@ -395,6 +395,7 @@ def _campaign_main(argv: list[str]) -> int:
 def _serve_main(argv: list[str]) -> int:
     import argparse
     import asyncio
+    import signal
 
     parser = argparse.ArgumentParser(
         prog="python -m repro serve",
@@ -494,8 +495,14 @@ def _serve_main(argv: list[str]) -> int:
             f"(store {args.store}, {manager.workers} workers{replica})",
             flush=True,
         )
+        # SIGTERM (and SIGINT) end the wait instead of the process, so the
+        # pool's workers and its resource tracker are shut down, not orphaned
+        stop = asyncio.Event()
+        loop = asyncio.get_running_loop()
+        loop.add_signal_handler(signal.SIGTERM, stop.set)
+        loop.add_signal_handler(signal.SIGINT, stop.set)
         try:
-            await server.serve_forever()
+            await stop.wait()
         finally:
             server.close()
             await server.wait_closed()

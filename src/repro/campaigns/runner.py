@@ -348,13 +348,13 @@ def _run_inline(
         for attempt in range(1, spec.retries + 2):
             record = execute_job(payload)
             record["attempts"] = attempt
-            if record["status"] == "ok":
+            if record["status"] == "ok" or attempt > spec.retries:
                 break
             _notify(
                 progress, "job_retry", job_hash=payload["job_hash"],
                 attempt=attempt, error=record.get("error"),
             )
-            if attempt <= spec.retries and spec.backoff:
+            if spec.backoff:
                 time.sleep(spec.backoff * (2 ** (attempt - 1)))
         if record["status"] == "ok":
             store.append(record)

@@ -7,9 +7,9 @@
 * :mod:`repro.runtime.churn` — the topology-dynamics layer: typed
   down/up events, :class:`~repro.runtime.churn.ChurnPlan` schedules, and
   process generators (regional outages, adversarial targeting, growth).
-* :mod:`repro.runtime.faults` — decreasing benign fault plans (node/edge
-  deletions at scheduled times), now the deletion-only subclass of the
-  churn layer.
+* :mod:`repro.runtime.faults` — decreasing benign fault plans
+  (``node-down``/``edge-down`` events at scheduled times), the
+  deletion-only subclass of the churn layer.
 * :mod:`repro.runtime.engine` — the one numpy/scipy synchronous array
   engine for mod-thresh automata (one sparse mat-mat product per step): a
   topology operator (full or quotient CSR) times R replicas, plus the
@@ -48,11 +48,7 @@ from repro.runtime.backends import (
     NumpyBackend,
     resolve_backend,
 )
-from repro.runtime.batched import (
-    BatchedRunResult,
-    BatchedSynchronousEngine,
-    run_replicas,
-)
+from repro.runtime.batched import BatchedSynchronousEngine
 from repro.runtime.churn import (
     ChurnPlan,
     TopologyEvent,
@@ -61,7 +57,7 @@ from repro.runtime.churn import (
     random_churn_plan,
     regional_outage_plan,
 )
-from repro.runtime.faults import FaultEvent, FaultPlan, random_fault_plan
+from repro.runtime.faults import FaultPlan, random_fault_plan
 from repro.runtime.scheduler import (
     RandomScheduler,
     RoundRobinScheduler,
@@ -92,10 +88,7 @@ __all__ = [
     "TraceObserver",
     "MetricsObserver",
     "supports_vectorized",
-    "BatchedRunResult",
     "BatchedSynchronousEngine",
-    "run_replicas",
-    "FaultEvent",
     "FaultPlan",
     "random_fault_plan",
     "TopologyEvent",

@@ -24,8 +24,9 @@ replicas in one stacked computation per step:
   independent random executions over it — the shape of a sensitivity
   churn sweep.
 
-The high-level :func:`run_replicas` wraps construction + termination and
-returns per-replica final states and round counts.  Cross-engine
+Batched runs go through :func:`~repro.runtime.api.run` with
+``replicas=R``, or construct the engine and call its ``run_until`` /
+``run_until_stable``.  Cross-engine
 equivalence is property-tested in
 ``tests/runtime/test_engine_conformance.py``; throughput against R
 sequential vectorized runs is measured in ``benchmarks/bench_batched.py``
@@ -35,7 +36,7 @@ sequential vectorized runs is measured in ``benchmarks/bench_batched.py``
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
-from typing import Callable, NamedTuple, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -43,30 +44,12 @@ from repro.core.automaton import FSSGA, ProbabilisticFSSGA
 from repro.core.ir import CompiledAutomaton
 from repro.network.graph import Network
 from repro.network.state import NetworkState
-from repro.runtime.backends import DEFAULT_MAX_STEPS, NumpyBackend
+from repro.runtime.backends import NumpyBackend
 from repro.runtime.churn import ChurnPlan
 from repro.runtime.engine import SynchronousArrayEngine
 from repro.runtime.telemetry import MetricsRegistry
 
-__all__ = ["BatchedSynchronousEngine", "BatchedRunResult", "run_replicas"]
-
-#: Per-replica termination predicate: ``stop(state_counts_dict) -> bool``.
-StopPredicate = Callable[[dict], bool]
-
-
-class BatchedRunResult(NamedTuple):
-    """Outcome of :func:`run_replicas`.
-
-    ``rounds[i]`` is the number of synchronous steps replica ``i`` actually
-    executed; ``converged[i]`` tells whether it was deactivated by its
-    termination condition (fixed point or ``stop``) rather than by the step
-    budget.
-    """
-
-    final_states: list[NetworkState]
-    rounds: np.ndarray
-    converged: np.ndarray
-    state_counts: list[dict]
+__all__ = ["BatchedSynchronousEngine"]
 
 
 def _normalize_init(
@@ -134,8 +117,8 @@ class BatchedSynchronousEngine(SynchronousArrayEngine):
         verbatim (this is how the conformance tests share a stream with a
         single-replica engine).
     fault_plan:
-        Optional :class:`~repro.runtime.faults.FaultPlan` or
-        :class:`~repro.runtime.churn.ChurnPlan` lowered into per-step
+        Optional :class:`~repro.runtime.churn.ChurnPlan` (a
+        :class:`~repro.runtime.faults.FaultPlan` included) lowered into per-step
         live-node masks shared by all replicas.  Plans that add topology
         (``node-up`` / ``edge-up``) lower the plan's *union* topology
         into the construction-time CSR with not-yet-arrived entries
@@ -173,50 +156,3 @@ class BatchedSynchronousEngine(SynchronousArrayEngine):
             net, programs, inits, randomness, _spawn_streams(rng, len(inits)),
             fault_plan, metrics, backend,
         )
-
-
-def run_replicas(
-    net: Network,
-    programs: Union[Mapping, FSSGA, ProbabilisticFSSGA, CompiledAutomaton],
-    init: Union[NetworkState, Sequence[NetworkState]],
-    replicas: Optional[int] = None,
-    *,
-    steps: Optional[int] = None,
-    stop: Optional[StopPredicate] = None,
-    max_steps: int = DEFAULT_MAX_STEPS,
-    randomness: Optional[int] = None,
-    rng: Union[int, np.random.Generator, Sequence[np.random.Generator], None] = None,
-    fault_plan: Optional[ChurnPlan] = None,
-    backend: Union[str, NumpyBackend, None] = "auto",
-) -> BatchedRunResult:
-    """Evolve R replicas to termination and collect per-replica results.
-
-    Exactly one termination mode applies: ``steps`` runs a fixed horizon;
-    ``stop`` runs each replica until its state-count predicate holds;
-    neither runs each replica to a fixed point (deterministic automata
-    only).  A ``fault_plan`` mutates ``net`` (pass a copy to keep the
-    original).  Returns final states, per-replica executed rounds, a
-    converged mask, and final state counts.
-    """
-    engine = BatchedSynchronousEngine(
-        net, programs, init, replicas,
-        randomness=randomness, rng=rng, fault_plan=fault_plan,
-        backend=backend,
-    )
-    if steps is not None and stop is not None:
-        raise ValueError("give either steps or stop, not both")
-    if steps is not None:
-        engine.run(steps)
-        converged = np.ones(engine.replicas, dtype=bool)
-    elif stop is not None:
-        engine.run_until(stop, max_steps=max_steps)
-        converged = ~engine.active
-    else:
-        engine.run_until_stable(max_steps=max_steps)
-        converged = ~engine.active
-    return BatchedRunResult(
-        final_states=engine.states,
-        rounds=engine.rounds,
-        converged=converged,
-        state_counts=engine.state_counts(),
-    )

@@ -27,8 +27,8 @@ instead *lower* the plan: the union of every topology the schedule can
 ever produce (:meth:`ChurnPlan.union_topology`) is exported once into the
 construction-time CSR, not-yet-arrived nodes/edges start masked dead, and
 each event flips incremental alive flags / stored-entry values — so churn
-runs keep the vector fast path.  Legacy :class:`~repro.runtime.faults
-.FaultPlan` is now the deletion-only subclass of :class:`ChurnPlan`.
+runs keep the vector fast path.  :class:`~repro.runtime.faults.FaultPlan` is
+the deletion-only subclass of :class:`ChurnPlan`.
 
 Process generators build the ROADMAP's sustained-churn scenarios:
 :func:`regional_outage_plan` (a BFS ball around an epicenter, optionally
@@ -56,7 +56,6 @@ __all__ = [
     "EDGE_UP",
     "TopologyEvent",
     "ChurnPlan",
-    "canonical_kind",
     "is_down_event",
     "is_up_event",
     "count_down_events",
@@ -71,29 +70,17 @@ EDGE_DOWN = "edge-down"
 NODE_UP = "node-up"
 EDGE_UP = "edge-up"
 
-#: Legacy :class:`~repro.runtime.faults.FaultEvent` kinds map onto the
-#: down half of the event algebra, so old and new events interoperate in
-#: one plan.
-_LEGACY = {"node": NODE_DOWN, "edge": EDGE_DOWN}
 _KINDS = (NODE_DOWN, EDGE_DOWN, NODE_UP, EDGE_UP)
-
-
-def canonical_kind(kind: str) -> str:
-    """Normalize an event kind (legacy ``"node"``/``"edge"`` included)."""
-    k = _LEGACY.get(kind, kind)
-    if k not in _KINDS:
-        raise ValueError(f"unknown topology-event kind {kind!r}")
-    return k
 
 
 def is_down_event(ev) -> bool:
     """True iff the event deletes topology (a classic benign fault)."""
-    return canonical_kind(ev.kind) in (NODE_DOWN, EDGE_DOWN)
+    return ev.kind in (NODE_DOWN, EDGE_DOWN)
 
 
 def is_up_event(ev) -> bool:
     """True iff the event adds topology (node or edge arrival)."""
-    return canonical_kind(ev.kind) in (NODE_UP, EDGE_UP)
+    return ev.kind in (NODE_UP, EDGE_UP)
 
 
 def count_down_events(events) -> int:
@@ -111,9 +98,8 @@ class TopologyEvent:
     arriving node starts in (it must belong to the running automaton's
     alphabet for the array engines) and an ``edges`` tuple of partner node
     ids to attach to; partners absent at arrival time are skipped.
-    Legacy kinds ``"node"``/``"edge"`` are canonicalized to the ``-down``
-    forms at construction, so :class:`~repro.runtime.faults.FaultEvent`
-    schedules translate one-for-one.
+    ``kind`` must be one of the four kinds above; the bare ``"node"`` /
+    ``"edge"`` raise ``ValueError`` naming their ``-down`` form.
     """
 
     time: int
@@ -123,7 +109,12 @@ class TopologyEvent:
     edges: tuple = field(default=())
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "kind", canonical_kind(self.kind))
+        if self.kind not in _KINDS:
+            down = f"{self.kind}-down"
+            use = repr(down) if down in _KINDS else ", ".join(map(repr, _KINDS))
+            raise ValueError(
+                f"unknown topology-event kind {self.kind!r}; use {use}"
+            )
         object.__setattr__(self, "edges", tuple(self.edges))
         if self.kind == NODE_UP and self.state is None:
             raise ValueError(
@@ -171,17 +162,14 @@ class TopologyEvent:
 class ChurnPlan:
     """A time-ordered schedule of topology events with a stateful cursor.
 
-    The cursor contract is the one :class:`~repro.runtime.faults.FaultPlan`
-    established (and that class is now the deletion-only subclass of this
-    one): :meth:`apply_due` advances the cursor, engines auto-
-    :meth:`reset` a plan already :attr:`consumed` at construction, and
-    same-``time`` events fire in the order given (the sort is stable).
+    The cursor contract, shared by the deletion-only subclass
+    :class:`~repro.runtime.faults.FaultPlan`: :meth:`apply_due` advances
+    the cursor, engines auto-:meth:`reset` a plan already
+    :attr:`consumed` at construction, and same-``time`` events fire in the
+    order given (the sort is stable).
     Events themselves are immutable — resetting re-applies the schedule,
     it does not restore topology, so run each execution on a fresh copy of
     the network.
-
-    Plans accept a mix of :class:`TopologyEvent` and legacy
-    :class:`~repro.runtime.faults.FaultEvent` instances.
     """
 
     def __init__(self, events: Optional[list] = None) -> None:
@@ -199,7 +187,7 @@ class ChurnPlan:
     @property
     def has_arrivals(self) -> bool:
         """True iff the plan contains any ``node-up`` event."""
-        return any(canonical_kind(e.kind) == NODE_UP for e in self._events)
+        return any(e.kind == NODE_UP for e in self._events)
 
     @property
     def has_additions(self) -> bool:
@@ -283,15 +271,14 @@ class ChurnPlan:
         union = net.copy()
         union._symmetry = None  # the union is a different graph
         for ev in self._events:
-            kind = canonical_kind(ev.kind)
-            if kind == NODE_UP:
+            if ev.kind == NODE_UP:
                 union.add_node(ev.target)
                 union.add_edges(
                     (ev.target, u)
                     for u in ev.edges
                     if u in union and u != ev.target
                 )
-            elif kind == EDGE_UP:
+            elif ev.kind == EDGE_UP:
                 u, v = ev.target
                 if u in union and v in union:
                     union.add_edge(u, v)
@@ -303,7 +290,7 @@ class ChurnPlan:
         automaton alphabet at construction time."""
         out: dict = {}
         for ev in self._events:
-            if canonical_kind(ev.kind) == NODE_UP:
+            if ev.kind == NODE_UP:
                 out[ev.target] = ev.state
         return out
 

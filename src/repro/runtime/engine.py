@@ -72,7 +72,6 @@ from repro.runtime.churn import (
     NODE_DOWN,
     NODE_UP,
     ChurnPlan,
-    canonical_kind,
     count_down_events,
 )
 
@@ -206,7 +205,7 @@ class _ChurnMask:
         """
         boots: list = []
         for ev in fired:
-            kind = canonical_kind(ev.kind)
+            kind = ev.kind
             if kind == NODE_DOWN:
                 i = self._pos0[ev.target]
                 self._alive[i] = False
@@ -274,7 +273,7 @@ def _build_churn_mask(
     # from the event list in O(event edges) instead of scanning the nnz
     dead: set = set()
     for ev in plan.events():
-        kind = canonical_kind(ev.kind)
+        kind = ev.kind
         if kind == NODE_UP:
             i = pos0.get(ev.target)
             if i is None:

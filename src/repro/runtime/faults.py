@@ -1,69 +1,29 @@
 """Decreasing benign faults (paper, Section 1) — the deletion-only plan.
 
 A fault permanently deletes a node or an edge; nothing joins the network
-and there is no malicious behaviour.  A :class:`FaultPlan` is a
-time-ordered list of :class:`FaultEvent`; simulators apply all events due
-at time ``t`` *before* computing step ``t``.
+and there is no malicious behaviour.  A fault is a
+:class:`~repro.runtime.churn.TopologyEvent` of kind ``node-down`` or
+``edge-down``; simulators apply all events due at time ``t`` *before*
+computing step ``t``.
 
-Since the topology-dynamics generalization, :class:`FaultPlan` is the
-deletion-only subclass of :class:`~repro.runtime.churn.ChurnPlan` — the
-historical name and constructors are unchanged, and a ``FaultEvent``'s
-``"node"``/``"edge"`` kinds are the legacy spellings of the churn layer's
-``node-down``/``edge-down``.  Schedules that also *add* topology (regional
-recovery, growth) live in :mod:`repro.runtime.churn`.
+:class:`FaultPlan` is the deletion-only subclass of
+:class:`~repro.runtime.churn.ChurnPlan`: it keeps the Section 2 name and
+the :meth:`~FaultPlan.node_faults` / :meth:`~FaultPlan.edge_faults`
+constructors.  Schedules that also *add* topology (regional recovery,
+growth) live in :mod:`repro.runtime.churn`.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
-from typing import Literal, Optional, Union
+from typing import Union
 
 import numpy as np
 
 from repro.network.graph import Network, Node
-from repro.network.state import NetworkState
-from repro.runtime.churn import ChurnPlan
+from repro.runtime.churn import EDGE_DOWN, NODE_DOWN, ChurnPlan, TopologyEvent
 
-__all__ = ["FaultEvent", "FaultPlan", "random_fault_plan"]
-
-
-@dataclass(frozen=True)
-class FaultEvent:
-    """One deletion: ``kind`` is ``"node"`` or ``"edge"``.
-
-    For node faults ``target`` is the node id; for edge faults it is the
-    ``(u, v)`` pair.  ``time`` is the synchronous step (or asynchronous
-    activation index) at which the fault strikes.  These kinds are the
-    legacy spellings of the churn layer's ``node-down``/``edge-down``, so
-    fault events mix freely with
-    :class:`~repro.runtime.churn.TopologyEvent` in one plan.
-    """
-
-    time: int
-    kind: Literal["node", "edge"]
-    target: object
-
-    def applies_to(self, net: Network) -> bool:
-        """True iff the target still exists (faults can be preempted by
-        earlier faults, e.g. an edge fault after an endpoint died)."""
-        if self.kind == "node":
-            return self.target in net
-        u, v = self.target
-        return net.has_edge(u, v)
-
-    def apply(self, net: Network, state: Optional[NetworkState] = None) -> bool:
-        """Apply the deletion; returns False if the target was already gone."""
-        if not self.applies_to(net):
-            return False
-        if self.kind == "node":
-            net.remove_node(self.target)
-            if state is not None:
-                state.drop([self.target])
-        else:
-            u, v = self.target
-            net.remove_edge(u, v)
-        return True
+__all__ = ["FaultPlan", "random_fault_plan"]
 
 
 def _pairs(schedule) -> list[tuple]:
@@ -99,14 +59,14 @@ class FaultPlan(ChurnPlan):
         The list form allows several faults at the same step (the dict
         form cannot — its keys are unique) and keeps their given order.
         """
-        return cls([FaultEvent(t, "node", v) for t, v in _pairs(schedule)])
+        return cls([TopologyEvent(t, NODE_DOWN, v) for t, v in _pairs(schedule)])
 
     @classmethod
     def edge_faults(
         cls, schedule: Union[dict[int, tuple], list[tuple[int, tuple]]]
     ) -> "FaultPlan":
         """Convenience: ``{time: (u, v)}`` or ``[(time, (u, v)), …]`` → plan."""
-        return cls([FaultEvent(t, "edge", e) for t, e in _pairs(schedule)])
+        return cls([TopologyEvent(t, EDGE_DOWN, e) for t, e in _pairs(schedule)])
 
 
 def random_fault_plan(
@@ -114,7 +74,7 @@ def random_fault_plan(
     num_faults: int,
     max_time: int,
     rng: Union[int, np.random.Generator, None] = None,
-    kinds: tuple[str, ...] = ("node", "edge"),
+    kinds: tuple[str, ...] = (NODE_DOWN, EDGE_DOWN),
     protect: tuple = (),
 ) -> FaultPlan:
     """A random fault plan over the current topology.
@@ -122,24 +82,28 @@ def random_fault_plan(
     ``rng`` accepts a :class:`numpy.random.Generator` (used as-is) *or*
     an int seed (``None`` seeds from entropy); equal seeds give identical
     plans, so a sweep can reproduce its schedules from recorded seeds
-    alone.  ``protect`` lists nodes that may never be deleted (and whose
+    alone.  ``kinds`` draws from ``node-down`` and ``edge-down``.
+    ``protect`` lists nodes that may never be deleted (and whose
     incident edges are also spared) — useful for keeping an algorithm's
     critical nodes alive, per the Section 2 sensitivity definition.
     """
+    bad = [k for k in kinds if k not in (NODE_DOWN, EDGE_DOWN)]
+    if bad:
+        raise ValueError(
+            f"fault kinds must be {NODE_DOWN!r} or {EDGE_DOWN!r}, not {bad}"
+        )
     gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
     protected = set(protect)
     node_pool = [v for v in net.nodes() if v not in protected]
     edge_pool = [
         (u, v) for u, v in net.edges() if u not in protected and v not in protected
     ]
-    events: list[FaultEvent] = []
+    events: list[TopologyEvent] = []
     for _ in range(num_faults):
         kind = kinds[int(gen.integers(len(kinds)))]
         time = int(gen.integers(0, max_time + 1))
-        if kind == "node" and node_pool:
-            idx = int(gen.integers(len(node_pool)))
-            events.append(FaultEvent(time, "node", node_pool.pop(idx)))
-        elif kind == "edge" and edge_pool:
-            idx = int(gen.integers(len(edge_pool)))
-            events.append(FaultEvent(time, "edge", edge_pool.pop(idx)))
+        pool = node_pool if kind == NODE_DOWN else edge_pool
+        if pool:
+            idx = int(gen.integers(len(pool)))
+            events.append(TopologyEvent(time, kind, pool.pop(idx)))
     return FaultPlan(events)

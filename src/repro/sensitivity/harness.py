@@ -28,7 +28,7 @@ from repro.network.properties import bridges as true_bridges
 from repro.network.state import NetworkState
 from repro.runtime.api import StepObserver, run
 from repro.runtime.batched import BatchedSynchronousEngine
-from repro.runtime.churn import is_down_event
+from repro.runtime.churn import EDGE_DOWN, NODE_DOWN, is_up_event
 from repro.runtime.faults import FaultPlan
 from repro.runtime.telemetry import MetricsRegistry
 
@@ -148,6 +148,60 @@ def _kernel_sweep_done(counts: Mapping) -> bool:
     return election_mod.kernel_remaining_count(counts) <= 1
 
 
+def _kernel_sweep(
+    net: Network,
+    plan,
+    done,
+    replicas: int,
+    rng: RngLike,
+    max_steps: int,
+    metrics: Optional[MetricsRegistry],
+) -> tuple[FaultExperimentResult, np.ndarray]:
+    """Run the election coin kernel over batched replicas under ``plan``
+    until ``done(counts)`` holds for every replica.
+
+    Returns the result and the per-replica converged mask: all True when
+    :meth:`~repro.runtime.engine.SynchronousArrayEngine.run_until` finishes,
+    else ``done`` evaluated on each replica's counts at the step budget.
+    """
+    # a plan reused from an earlier sweep is auto-reset by the engine
+    # constructor, so len(plan.applied) below reflects *this* run
+    engine = BatchedSynchronousEngine(
+        net,
+        election_mod.coin_kernel_programs(),
+        election_mod.coin_kernel_init(net),
+        replicas,
+        randomness=2,
+        rng=_gen(rng),
+        fault_plan=plan,
+        metrics=metrics,
+    )
+    try:
+        engine.run_until(done, max_steps=max_steps)
+        converged = np.ones(engine.replicas, dtype=bool)
+    except RuntimeError:
+        converged = np.fromiter(
+            (done(engine.replica_state_counts(r)) for r in range(engine.replicas)),
+            dtype=bool,
+            count=engine.replicas,
+        )
+    res = FaultExperimentResult(
+        reasonably_correct=bool(converged.all()),
+        faults_applied=len(plan.applied),
+        detail={
+            "engine": "batched",
+            "replicas": int(engine.replicas),
+            "rounds": [int(r) for r in engine.rounds],
+            "remaining": [
+                election_mod.kernel_remaining_count(c)
+                for c in engine.state_counts()
+            ],
+            "live_nodes": int(engine.live_count),
+        },
+    )
+    return res, converged
+
+
 def kernel_fault_sweep(
     net: Network,
     fault_plan: FaultPlan,
@@ -173,45 +227,10 @@ def kernel_fault_sweep(
     This is the in-process API (live network + plan);
     :func:`fault_sweep_job` is the same computation in campaign-job form.
     """
-    gen = _gen(rng)
-    # a fault_plan reused from an earlier sweep is auto-reset by the engine
-    # constructor, so len(fault_plan.applied) below reflects *this* run
-    engine = BatchedSynchronousEngine(
-        net,
-        election_mod.coin_kernel_programs(),
-        election_mod.coin_kernel_init(net),
-        replicas,
-        randomness=2,
-        rng=gen,
-        fault_plan=fault_plan,
-        metrics=metrics,
+    res, _ = _kernel_sweep(
+        net, fault_plan, _kernel_sweep_done, replicas, rng, max_steps, metrics
     )
-    try:
-        engine.run_until(_kernel_sweep_done, max_steps=max_steps)
-        converged = np.ones(engine.replicas, dtype=bool)
-    except RuntimeError:
-        converged = np.fromiter(
-            (
-                _kernel_sweep_done(engine.replica_state_counts(r))
-                for r in range(engine.replicas)
-            ),
-            dtype=bool,
-            count=engine.replicas,
-        )
-    remaining = [
-        election_mod.kernel_remaining_count(c) for c in engine.state_counts()
-    ]
-    return FaultExperimentResult(
-        reasonably_correct=bool(converged.all()),
-        faults_applied=len(fault_plan.applied),
-        detail={
-            "engine": "batched",
-            "replicas": int(engine.replicas),
-            "rounds": [int(r) for r in engine.rounds],
-            "remaining": remaining,
-            "live_nodes": int(engine.live_count),
-        },
-    )
+    return res
 
 
 def fault_sweep_job(
@@ -223,7 +242,7 @@ def fault_sweep_job(
     replicas: int = 8,
     num_faults: int = 4,
     fault_window: int = 6,
-    fault_kinds: tuple = ("node", "edge"),
+    fault_kinds: tuple = (NODE_DOWN, EDGE_DOWN),
     max_steps: int = 5_000,
 ) -> dict:
     """Campaign-job form of :func:`kernel_fault_sweep` (k-sensitivity
@@ -287,52 +306,15 @@ def kernel_churn_sweep(
     events are still due.  ``net`` is mutated by the plan; pass a copy to
     keep the original.
     """
-    gen = _gen(rng)
-    engine = BatchedSynchronousEngine(
-        net,
-        election_mod.coin_kernel_programs(),
-        election_mod.coin_kernel_init(net),
-        replicas,
-        randomness=2,
-        rng=gen,
-        fault_plan=churn_plan,
-        metrics=metrics,
-    )
-
     def done(counts: Mapping) -> bool:
         return churn_plan.exhausted and _kernel_sweep_done(counts)
 
-    try:
-        engine.run_until(done, max_steps=max_steps)
-        converged = np.ones(engine.replicas, dtype=bool)
-    except RuntimeError:
-        converged = np.fromiter(
-            (
-                done(engine.replica_state_counts(r))
-                for r in range(engine.replicas)
-            ),
-            dtype=bool,
-            count=engine.replicas,
-        )
-    remaining = [
-        election_mod.kernel_remaining_count(c) for c in engine.state_counts()
-    ]
-    ups = len(churn_plan.applied) - sum(
-        1 for ev in churn_plan.applied if is_down_event(ev)
+    res, converged = _kernel_sweep(
+        net, churn_plan, done, replicas, rng, max_steps, metrics
     )
-    return FaultExperimentResult(
-        reasonably_correct=bool(converged.all()),
-        faults_applied=len(churn_plan.applied),
-        detail={
-            "engine": "batched",
-            "replicas": int(engine.replicas),
-            "rounds": [int(r) for r in engine.rounds],
-            "remaining": remaining,
-            "live_nodes": int(engine.live_count),
-            "up_events": int(ups),
-            "converged": [bool(c) for c in converged],
-        },
-    )
+    res.detail["up_events"] = sum(1 for ev in churn_plan.applied if is_up_event(ev))
+    res.detail["converged"] = [bool(c) for c in converged]
+    return res
 
 
 def churn_resilience_job(

@@ -11,6 +11,8 @@ temporary store, then asserts the full serving loop:
    ``cached`` and a byte-identical body — the store dedupe path.
 4. ``GET /metrics`` shows ``cache_hits >= 1`` and zero store
    corruption (``verify()`` finds nothing).
+5. After ``SIGTERM`` the server's child processes (the pool's workers
+   and the multiprocessing resource tracker) exit with it.
 
 Run it locally with ``python -m repro.service.smoke``; exit code 0 means
 the service serves.
@@ -32,6 +34,33 @@ from repro.campaigns.store import ArtifactStore
 from repro.service.loadgen import http_request
 
 __all__ = ["run_smoke", "main"]
+
+
+def _child_pids(pid: int) -> list[int]:
+    """The direct children of ``pid``: ``/proc/<pid>/task/*/children``, or
+    on kernels built without that file, every process whose PPid is
+    ``pid``."""
+    files = list(Path(f"/proc/{pid}/task").glob("*/children"))
+    if files:
+        return sorted({int(c) for f in files for c in f.read_text().split()})
+    kids = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            ppid = int(stat.read_text().rsplit(")", 1)[1].split()[1])
+        except (OSError, IndexError, ValueError):
+            continue  # exited while we looked
+        if ppid == pid:
+            kids.append(int(stat.parent.name))
+    return sorted(kids)
+
+
+def _alive(pid: int) -> bool:
+    """True while ``pid`` runs; a zombie waiting for its reaper is gone."""
+    try:
+        state = Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0]
+    except (OSError, IndexError):
+        return False
+    return state != "Z"
 
 
 def _free_port() -> int:
@@ -144,12 +173,20 @@ async def run_smoke(store_dir: str) -> dict:
             "counters": counters,
         }
     finally:
+        children = _child_pids(server.pid)
         server.terminate()
         try:
             server.wait(timeout=10)
         except subprocess.TimeoutExpired:  # pragma: no cover - hung server
             server.kill()
             server.wait()
+        # the resource tracker exits once the last holder of its pipe has
+        # gone, a moment after the server itself
+        deadline = time.monotonic() + 10.0
+        while any(map(_alive, children)) and time.monotonic() < deadline:
+            time.sleep(0.1)
+        orphans = [pid for pid in children if _alive(pid)]
+        assert not orphans, f"server children outlived SIGTERM: {orphans}"
 
 
 def main() -> int:

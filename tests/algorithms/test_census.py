@@ -5,7 +5,8 @@ import pytest
 
 from repro.algorithms import census
 from repro.network import generators
-from repro.runtime.faults import FaultEvent, FaultPlan
+from repro.runtime.churn import EDGE_DOWN, TopologyEvent
+from repro.runtime.faults import FaultPlan
 from repro.runtime.simulator import SynchronousSimulator
 
 
@@ -146,7 +147,7 @@ class TestFaultTolerance:
         for v in net:
             for j, b in enumerate(init[v]):
                 expected[j] |= b
-        plan = FaultPlan([FaultEvent(2, "edge", net.edges()[0])])
+        plan = FaultPlan([TopologyEvent(2, EDGE_DOWN, net.edges()[0])])
         sim = SynchronousSimulator(net, aut, init, rng=5, fault_plan=plan)
         sim.run(30)
         assert net.is_connected()
@@ -161,7 +162,7 @@ class TestFaultTolerance:
 
         bridge_edge = next(iter(bridges(net)))
         aut, init = census.build(net, k=10, rng=11)
-        plan = FaultPlan([FaultEvent(1, "edge", bridge_edge)])
+        plan = FaultPlan([TopologyEvent(1, EDGE_DOWN, bridge_edge)])
         sim = SynchronousSimulator(net, aut, init, rng=11, fault_plan=plan)
         sim.run(40)
         comps = net.connected_components()

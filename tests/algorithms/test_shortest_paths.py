@@ -4,7 +4,8 @@ import pytest
 
 from repro.algorithms import shortest_paths as sp
 from repro.network import generators
-from repro.runtime.faults import FaultEvent, FaultPlan
+from repro.runtime.churn import EDGE_DOWN, NODE_DOWN, TopologyEvent
+from repro.runtime.faults import FaultPlan
 from repro.runtime.simulator import AsynchronousSimulator, SynchronousSimulator
 
 
@@ -65,7 +66,7 @@ class TestFaultRecovery:
         distances (the 0-sensitive 'balancing' behaviour)."""
         net = generators.grid_graph(4, 4)
         aut, init = sp.build(net, [0])
-        plan = FaultPlan([FaultEvent(6, "edge", (0, 1)), FaultEvent(8, "node", 5)])
+        plan = FaultPlan([TopologyEvent(6, EDGE_DOWN, (0, 1)), TopologyEvent(8, NODE_DOWN, 5)])
         sim = SynchronousSimulator(net, aut, init, fault_plan=plan)
         sim.run_until_stable(max_steps=200)
         assert sp.stabilized(net, sim.state, [0], net.num_nodes)

@@ -155,6 +155,24 @@ class TestFailurePaths:
         assert failed["attempts"] == 3  # retries + 1
         assert "injected failure" in failed["error"]
 
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_retry_event_only_when_a_retry_follows(self, tmp_path, workers):
+        """Both paths announce ``job_retry`` before each retry, never after
+        the last attempt: retries=1 gives attempts [1], then job_failed."""
+        spec = _spec(
+            job="repro.campaigns.testing.erroring_job",
+            grid={"value": [2]},
+            fixed={"fail_values": [2]},
+            retries=1,
+        )
+        events = []
+        run_campaign(
+            spec, tmp_path / f"s{workers}", workers=workers,
+            progress=lambda ev, info: events.append((ev, info.get("attempt"))),
+        )
+        job_events = [e for e in events if e[0].startswith("job_")]
+        assert job_events == [("job_retry", 1), ("job_failed", None)]
+
     def test_failed_jobs_rerun_on_resume(self, tmp_path):
         """completed_hashes() holds only ok jobs, so resume skips the
         successes and re-attempts the failure."""

@@ -109,10 +109,11 @@ class TestCensusRouting:
 class TestFaultsAcrossAlgorithms:
     def test_census_and_labels_after_shared_fault(self):
         """Two 0-sensitive algorithms on the same faulted topology."""
-        from repro.runtime.faults import FaultEvent, FaultPlan
+        from repro.runtime.churn import EDGE_DOWN, TopologyEvent
+        from repro.runtime.faults import FaultPlan
 
         base = generators.grid_graph(4, 4)
-        fault = FaultEvent(3, "edge", (5, 6))
+        fault = TopologyEvent(3, EDGE_DOWN, (5, 6))
 
         net1 = base.copy()
         aut, init = census.build(net1, k=8, rng=2)
@@ -130,7 +131,7 @@ class TestFaultsAcrossAlgorithms:
         net2 = base.copy()
         aut2, init2 = shortest_paths.build(net2, [0])
         sim2 = SynchronousSimulator(
-            net2, aut2, init2, fault_plan=FaultPlan([FaultEvent(3, "edge", (5, 6))])
+            net2, aut2, init2, fault_plan=FaultPlan([TopologyEvent(3, EDGE_DOWN, (5, 6))])
         )
         sim2.run_until_stable(max_steps=200)
         assert shortest_paths.stabilized(net2, sim2.state, [0], net2.num_nodes)

@@ -21,7 +21,8 @@ from repro.core.automaton import FSSGA
 from repro.core.modthresh import ModThreshProgram
 from repro.network import NetworkState, generators
 from repro.runtime.api import supports_vectorized
-from repro.runtime.faults import FaultEvent, FaultPlan
+from repro.runtime.churn import EDGE_DOWN, NODE_DOWN, TopologyEvent
+from repro.runtime.faults import FaultPlan
 from repro.runtime.simulator import SynchronousSimulator
 from repro.runtime.trace import Trace
 
@@ -140,7 +141,7 @@ class TestAutoSelection:
 
         net = generators.cycle_graph(8)
         automaton, init = two_coloring.build(net, origin=0)
-        plan = FaultPlan([FaultEvent(2, "node", 4)])
+        plan = FaultPlan([TopologyEvent(2, NODE_DOWN, 4)])
         res = run(automaton, net, init, fault_plan=plan, max_steps=200)
         assert res.engine == "vectorized"
         assert 4 not in res.final_state
@@ -208,13 +209,13 @@ class TestQuotientNegotiation:
 
         net = self._declared_cycle()
         init = NetworkState.uniform(net, "a")
-        plan = FaultPlan([FaultEvent(1, "node", 3)])
+        plan = FaultPlan([TopologyEvent(1, NODE_DOWN, 3)])
         res = run(_hold_programs(), net, init, until=3, fault_plan=plan)
         assert res.engine == "vectorized"  # faults break symmetry
         with pytest.raises(QuotientLoweringError, match="break symmetry") as exc:
             run(
                 _hold_programs(), net, init, until=3,
-                fault_plan=FaultPlan([FaultEvent(1, "node", 3)]),
+                fault_plan=FaultPlan([TopologyEvent(1, NODE_DOWN, 3)]),
                 engine="quotient",
             )
         assert exc.value.blocker == "fault-plan"
@@ -225,7 +226,7 @@ class TestQuotientNegotiation:
         partition of the original network describes); ``auto`` falls back
         to the full-graph path, which runs the arrival end to end."""
         from repro.core.ir import QuotientLoweringError
-        from repro.runtime.churn import ChurnPlan, TopologyEvent
+        from repro.runtime.churn import ChurnPlan
 
         net = self._declared_cycle()
         init = NetworkState.uniform(net, "a")
@@ -331,7 +332,7 @@ class TestValidation:
 
     def test_vectorized_executes_fault_plan(self):
         net, init = _two_state_net()
-        plan = FaultPlan([FaultEvent(1, "node", 0)])
+        plan = FaultPlan([TopologyEvent(1, NODE_DOWN, 0)])
         res = run(
             _hold_programs(), net, init, engine="vectorized",
             fault_plan=plan, max_steps=50,
@@ -442,7 +443,7 @@ class TestCapabilityNegotiation:
         # programs used to be rejected as "rule-based automata cannot be
         # batched"; faults now lower to masks on every engine
         net, init = _two_state_net(6)
-        plan = FaultPlan([FaultEvent(2, "node", 3)])
+        plan = FaultPlan([TopologyEvent(2, NODE_DOWN, 3)])
         res = run(
             _hold_programs(), net, init, engine="batched", replicas=2,
             fault_plan=plan, until="stable",
@@ -458,7 +459,7 @@ class TestCapabilityNegotiation:
 
         net = generators.grid_graph(4, 4)
         automaton, init = shortest_paths.build(net, targets=[0])
-        events = [FaultEvent(2, "node", 5), FaultEvent(3, "edge", (10, 11))]
+        events = [TopologyEvent(2, NODE_DOWN, 5), TopologyEvent(3, EDGE_DOWN, (10, 11))]
         kw = dict(until="stable", max_steps=500)
         ref = run(
             automaton, net.copy(), init, engine="reference",
@@ -590,7 +591,7 @@ class TestTermination:
         # a born-stable automaton with a fault at t=5 must keep stepping
         # until the plan has fired, then count the confirming step.
         net, init = _two_state_net(5)
-        plan = FaultPlan([FaultEvent(5, "node", 4)])
+        plan = FaultPlan([TopologyEvent(5, NODE_DOWN, 4)])
         res = run(_hold_programs(), net, init, until="stable", fault_plan=plan)
         assert res.steps == 6
         assert 4 not in res.final_state
@@ -658,7 +659,7 @@ class TestObservers:
 
     def test_observer_sees_faults(self):
         net, init = _two_state_net(5)
-        plan = FaultPlan([FaultEvent(2, "node", 4)])
+        plan = FaultPlan([TopologyEvent(2, NODE_DOWN, 4)])
         rec = _Recorder()
         run(
             _hold_programs(), net, init, until="stable",

@@ -15,7 +15,7 @@ from repro.algorithms import election
 from repro.core.modthresh import ModThreshProgram, at_least
 from repro.network import NetworkState, generators
 from repro.network.graph import Network
-from repro.runtime.batched import BatchedSynchronousEngine, run_replicas
+from repro.runtime.batched import BatchedSynchronousEngine
 from repro.runtime.vectorized import VectorizedSynchronousEngine
 
 
@@ -100,8 +100,6 @@ class TestEngineBasics:
             BatchedSynchronousEngine(
                 net, progs, init, replicas=2, rng=[np.random.default_rng(0)]
             )
-        with pytest.raises(ValueError):
-            run_replicas(net, progs, init, 2, steps=3, stop=lambda c: True)
 
     def test_rule_based_rejected(self):
         from repro.core.automaton import FSSGA
@@ -215,15 +213,16 @@ class TestQuiescenceMasks:
             st = NetworkState.uniform(net, "s")
             st[src] = "i"
             inits.append(st)
-        result = run_replicas(net, progs, inits)
+        engine = BatchedSynchronousEngine(net, progs, inits)
+        rounds = engine.run_until_stable()
         expected = [
             VectorizedSynchronousEngine(net, progs, st).run_until_stable()
             for st in inits
         ]
-        assert list(result.rounds) == expected
-        assert result.converged.all()
+        assert list(rounds) == expected
+        assert not engine.active.any()
         assert all(
-            all(state[v] == "i" for v in net) for state in result.final_states
+            all(state[v] == "i" for v in net) for state in engine.states
         )
 
     def test_converged_replica_stops_consuming_randomness(self):

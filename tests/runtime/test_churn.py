@@ -12,7 +12,6 @@ from repro.runtime.churn import (
     ChurnPlan,
     TopologyEvent,
     adversarial_plan,
-    canonical_kind,
     count_down_events,
     growth_plan,
     is_down_event,
@@ -20,23 +19,29 @@ from repro.runtime.churn import (
     random_churn_plan,
     regional_outage_plan,
 )
-from repro.runtime.faults import FaultEvent, FaultPlan
+from repro.runtime.faults import FaultPlan
 
 
 class TestEventAlgebra:
-    def test_canonical_kind_legacy_mapping(self):
-        assert canonical_kind("node") == NODE_DOWN
-        assert canonical_kind("edge") == EDGE_DOWN
-        assert canonical_kind(NODE_UP) == NODE_UP
-        with pytest.raises(ValueError, match="unknown topology-event kind"):
-            canonical_kind("node-sideways")
-
     def test_event_canonicalizes_at_construction(self):
-        ev = TopologyEvent(0, "node", 3)
+        ev = TopologyEvent(0, NODE_DOWN, 3)
         assert ev.kind == NODE_DOWN
         assert is_down_event(ev) and not is_up_event(ev)
-        # legacy FaultEvent instances classify through the same predicates
-        assert is_down_event(FaultEvent(0, "edge", (0, 1)))
+        assert is_down_event(TopologyEvent(0, EDGE_DOWN, (0, 1)))
+        assert is_up_event(TopologyEvent(0, EDGE_UP, (0, 1)))
+
+    @pytest.mark.parametrize(
+        "kind, target, replacement",
+        [("node", 1, NODE_DOWN), ("edge", (0, 1), EDGE_DOWN)],
+    )
+    def test_legacy_kind_names_its_replacement(self, kind, target, replacement):
+        with pytest.raises(ValueError, match=f"use '{replacement}'"):
+            TopologyEvent(0, kind, target)
+
+    def test_unknown_kind_lists_the_four_kinds(self):
+        with pytest.raises(ValueError, match="unknown topology-event kind") as err:
+            TopologyEvent(0, "node-sideways", 1)
+        assert all(k in str(err.value) for k in (NODE_DOWN, EDGE_DOWN, NODE_UP, EDGE_UP))
 
     def test_node_up_requires_boot_state(self):
         with pytest.raises(ValueError, match="needs a boot state"):
@@ -165,22 +170,8 @@ class TestChurnPlan:
         )
         assert plan.boot_states() == {"v": "b", "w": "c"}
 
-    def test_mixed_legacy_and_typed_events(self):
-        """FaultEvent and TopologyEvent interoperate in one schedule."""
-        net = generators.path_graph(4)
-        plan = ChurnPlan(
-            [
-                FaultEvent(1, "node", 3),
-                TopologyEvent(2, NODE_UP, 3, state="q", edges=(2,)),
-            ]
-        )
-        st = NetworkState.uniform(net, "s")
-        plan.apply_due(net, 5, st)
-        assert 3 in net and st[3] == "q"
-        assert count_down_events(plan.applied) == 1
-
     def test_faultplan_is_deletion_only_churnplan(self):
-        plan = FaultPlan([FaultEvent(0, "node", 1)])
+        plan = FaultPlan([TopologyEvent(0, NODE_DOWN, 1)])
         assert isinstance(plan, ChurnPlan)
         assert not plan.has_additions
 

@@ -212,11 +212,12 @@ def test_fresh_circulant_never_builds_the_csr_and_an_edit_takes_it():
 
 
 def test_faulted_and_quotient_runs_keep_the_csr():
-    from repro.runtime.faults import FaultEvent, FaultPlan
+    from repro.runtime.churn import EDGE_DOWN, TopologyEvent
+    from repro.runtime.faults import FaultPlan
 
     P, init = election.coin_kernel_programs, election.coin_kernel_init
     net = generators.circulant_graph(64, (1, 2))
-    plan = FaultPlan([FaultEvent(2, "edge", (0, 1))])
+    plan = FaultPlan([TopologyEvent(2, EDGE_DOWN, (0, 1))])
     ref = run(P(), net.copy(), init(net), randomness=2, rng=3, until=6,
               engine="reference", fault_plan=FaultPlan(plan.events()))
     vec = run(P(), net.copy(), init(net), randomness=2, rng=3, until=6,

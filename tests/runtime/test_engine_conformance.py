@@ -75,12 +75,14 @@ from repro.runtime import run
 from repro.runtime.backends import NumpyBackend
 from repro.runtime.batched import BatchedSynchronousEngine
 from repro.runtime.churn import (
+    EDGE_DOWN,
+    NODE_DOWN,
     ChurnPlan,
     TopologyEvent,
     growth_plan,
     random_churn_plan,
 )
-from repro.runtime.faults import FaultEvent, FaultPlan
+from repro.runtime.faults import FaultPlan
 from repro.runtime.quotient import OrbitBroadcastRng, QuotientSynchronousEngine
 from repro.runtime.simulator import SynchronousSimulator
 from repro.runtime.telemetry import MetricsRegistry
@@ -176,7 +178,7 @@ def random_init(rng, net, states):
 def random_fault_events(rng, net, steps):
     """1–3 node/edge deletions at random times within the horizon.
 
-    ``FaultEvent`` is frozen, so the same events parametrize a *fresh*
+    ``TopologyEvent`` is frozen, so the same events parametrize a *fresh*
     :class:`FaultPlan` per engine (plans hold a cursor)."""
     nodes = list(net)
     events = []
@@ -185,9 +187,9 @@ def random_fault_events(rng, net, steps):
         v = nodes[int(rng.integers(len(nodes)))]
         nbrs = list(net.neighbors(v))
         if nbrs and rng.integers(2):
-            events.append(FaultEvent(t, "edge", (v, nbrs[int(rng.integers(len(nbrs)))])))
+            events.append(TopologyEvent(t, EDGE_DOWN, (v, nbrs[int(rng.integers(len(nbrs)))])))
         else:
-            events.append(FaultEvent(t, "node", v))
+            events.append(TopologyEvent(t, NODE_DOWN, v))
     return events
 
 
@@ -839,8 +841,8 @@ class TestRuleBasedConformance:
         net = generators.grid_graph(4, 4)  # nodes are ints r*4+c
         automaton, init = tc.build(net, 0)
         events = [
-            FaultEvent(2, "node", 5),
-            FaultEvent(4, "edge", (10, 11)),
+            TopologyEvent(2, NODE_DOWN, 5),
+            TopologyEvent(4, EDGE_DOWN, (10, 11)),
         ]
         ref = SynchronousSimulator(
             net.copy(), automaton, init.copy(), fault_plan=FaultPlan(events)

@@ -1,9 +1,12 @@
 """Unit tests for repro.runtime.faults."""
 
+import pytest
+
 from repro.core.automaton import FSSGA
 from repro.core.modthresh import ModThreshProgram, at_least
 from repro.network import NetworkState, generators
-from repro.runtime.faults import FaultEvent, FaultPlan, random_fault_plan
+from repro.runtime.churn import EDGE_DOWN, NODE_DOWN, TopologyEvent
+from repro.runtime.faults import FaultPlan, random_fault_plan
 from repro.runtime.simulator import AsynchronousSimulator, SynchronousSimulator
 
 
@@ -13,25 +16,25 @@ def epidemic_automaton() -> FSSGA:
     return FSSGA.from_programs({"s": spread, "i": stay})
 
 
-class TestFaultEvent:
+class TestDeletionEvent:
     def test_node_fault(self):
         net = generators.path_graph(3)
         st = NetworkState.uniform(net, 0)
-        ev = FaultEvent(0, "node", 1)
+        ev = TopologyEvent(0, NODE_DOWN, 1)
         assert ev.applies_to(net)
         assert ev.apply(net, st)
         assert 1 not in net and 1 not in st
 
     def test_edge_fault(self):
         net = generators.path_graph(3)
-        ev = FaultEvent(0, "edge", (0, 1))
+        ev = TopologyEvent(0, EDGE_DOWN, (0, 1))
         assert ev.apply(net)
         assert not net.has_edge(0, 1)
 
     def test_preempted_fault(self):
         net = generators.path_graph(3)
-        FaultEvent(0, "node", 1).apply(net)
-        ev = FaultEvent(1, "edge", (0, 1))
+        TopologyEvent(0, NODE_DOWN, 1).apply(net)
+        ev = TopologyEvent(1, EDGE_DOWN, (0, 1))
         assert not ev.applies_to(net)
         assert not ev.apply(net)
 
@@ -40,7 +43,7 @@ class TestFaultPlan:
     def test_apply_due_order(self):
         net = generators.path_graph(5)
         plan = FaultPlan(
-            [FaultEvent(3, "edge", (2, 3)), FaultEvent(1, "edge", (0, 1))]
+            [TopologyEvent(3, EDGE_DOWN, (2, 3)), TopologyEvent(1, EDGE_DOWN, (0, 1))]
         )
         assert plan.apply_due(net, 0) == []
         fired = plan.apply_due(net, 1)
@@ -52,7 +55,7 @@ class TestFaultPlan:
     def test_skipped_recorded(self):
         net = generators.path_graph(3)
         plan = FaultPlan(
-            [FaultEvent(0, "node", 1), FaultEvent(1, "edge", (1, 2))]
+            [TopologyEvent(0, NODE_DOWN, 1), TopologyEvent(1, EDGE_DOWN, (1, 2))]
         )
         plan.apply_due(net, 5)
         assert len(plan.applied) == 1
@@ -60,7 +63,7 @@ class TestFaultPlan:
 
     def test_reset(self):
         net = generators.path_graph(3)
-        plan = FaultPlan([FaultEvent(0, "edge", (0, 1))])
+        plan = FaultPlan([TopologyEvent(0, EDGE_DOWN, (0, 1))])
         plan.apply_due(net, 0)
         plan.reset()
         assert not plan.exhausted
@@ -70,7 +73,7 @@ class TestFaultPlan:
         plan = FaultPlan.node_faults({2: "a", 5: "b"})
         assert len(plan) == 2
         plan = FaultPlan.edge_faults({1: (0, 1)})
-        assert plan.events()[0].kind == "edge"
+        assert plan.events()[0].kind == EDGE_DOWN
 
     def test_list_of_pairs_allows_same_step_faults(self):
         """The dict form cannot express two faults at one step (keys are
@@ -197,7 +200,7 @@ class TestRandomFaultPlan:
         net = generators.complete_graph(6)
         plan = random_fault_plan(net, 10, max_time=5, rng=1, protect=(0,))
         for ev in plan.events():
-            if ev.kind == "node":
+            if ev.kind == NODE_DOWN:
                 assert ev.target != 0
             else:
                 assert 0 not in ev.target
@@ -220,6 +223,27 @@ class TestRandomFaultPlan:
         assert [(e.time, e.kind, e.target) for e in a.events()] == [
             (e.time, e.kind, e.target) for e in b.events()
         ]
+
+    def test_seeded_plan_is_pinned(self):
+        """The draw sequence is part of every seeded sweep's record: a
+        seed keeps its times, kinds and targets."""
+        net = generators.complete_graph(6)
+        plan = random_fault_plan(net, 6, 10, rng=3, protect=(0,))
+        assert [(e.time, e.kind, e.target) for e in plan.events()] == [
+            (0, EDGE_DOWN, (1, 3)),
+            (1, NODE_DOWN, 5),
+            (3, NODE_DOWN, 2),
+            (5, EDGE_DOWN, (2, 3)),
+            (6, EDGE_DOWN, (1, 2)),
+            (7, NODE_DOWN, 4),
+        ]
+
+    def test_legacy_kinds_rejected(self):
+        net = generators.complete_graph(4)
+        with pytest.raises(ValueError, match="'node-down'"):
+            random_fault_plan(net, 2, 3, kinds=("node",))
+        with pytest.raises(ValueError, match="'edge-down'"):
+            random_fault_plan(net, 2, 3, kinds=("edge",))
 
     def test_no_duplicate_targets(self):
         net = generators.complete_graph(5)

@@ -22,7 +22,8 @@ from repro.network.symmetry import (
     torus_translations,
 )
 from repro.runtime import run
-from repro.runtime.faults import FaultEvent, FaultPlan
+from repro.runtime.churn import NODE_DOWN, TopologyEvent
+from repro.runtime.faults import FaultPlan
 from repro.runtime.quotient import OrbitBroadcastRng, QuotientSynchronousEngine
 from repro.runtime.telemetry import MetricsRegistry
 from repro.runtime.vectorized import VectorizedSynchronousEngine
@@ -131,7 +132,7 @@ class TestPreconditionErrors:
         with pytest.raises(QuotientLoweringError, match="break symmetry") as exc:
             QuotientSynchronousEngine(
                 net, _spread_programs(), NetworkState.uniform(net, "blank"),
-                fault_plan=FaultPlan([FaultEvent(1, "node", 2)]),
+                fault_plan=FaultPlan([TopologyEvent(1, NODE_DOWN, 2)]),
             )
         assert exc.value.blocker == "fault-plan"
 
@@ -222,7 +223,7 @@ class TestNetworkReuseAcrossRuns:
         init = NetworkState.uniform(net, "blank")
         res = run(
             _spread_programs(), net, init, until=3,
-            fault_plan=FaultPlan([FaultEvent(1, "node", 5)]),
+            fault_plan=FaultPlan([TopologyEvent(1, NODE_DOWN, 5)]),
         )
         assert res.engine == "vectorized"
         assert 5 not in net  # the fault really mutated the instance

@@ -4,7 +4,8 @@ import pytest
 
 from repro.core.automaton import FSSGA, ProbabilisticFSSGA
 from repro.network import NetworkState, generators
-from repro.runtime.faults import FaultEvent, FaultPlan
+from repro.runtime.churn import EDGE_DOWN, NODE_DOWN, TopologyEvent
+from repro.runtime.faults import FaultPlan
 from repro.runtime.scheduler import RoundRobinScheduler, ScriptedScheduler
 from repro.runtime.simulator import AsynchronousSimulator, SynchronousSimulator
 from repro.runtime.trace import Trace
@@ -84,7 +85,7 @@ class TestSynchronous:
         net = generators.path_graph(4)
         init = NetworkState.uniform(net, 0)
         init[0] = 1
-        plan = FaultPlan([FaultEvent(1, "edge", (1, 2))])
+        plan = FaultPlan([TopologyEvent(1, EDGE_DOWN, (1, 2))])
         sim = SynchronousSimulator(net, epidemic(), init, fault_plan=plan)
         sim.run(10)
         assert sim.state[1] == 1
@@ -93,7 +94,7 @@ class TestSynchronous:
     def test_node_fault_removes_state(self):
         net = generators.path_graph(4)
         init = NetworkState.uniform(net, 0)
-        plan = FaultPlan([FaultEvent(2, "node", 3)])
+        plan = FaultPlan([TopologyEvent(2, NODE_DOWN, 3)])
         sim = SynchronousSimulator(net, epidemic(), init, fault_plan=plan)
         sim.run(5)
         assert 3 not in sim.state

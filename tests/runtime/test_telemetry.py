@@ -19,7 +19,8 @@ from repro.algorithms import shortest_paths as sp
 from repro.algorithms import two_coloring as tc
 from repro.network import NetworkState, generators
 from repro.runtime.batched import BatchedSynchronousEngine
-from repro.runtime.faults import FaultEvent, FaultPlan
+from repro.runtime.churn import EDGE_DOWN, NODE_DOWN, TopologyEvent
+from repro.runtime.faults import FaultPlan
 from repro.runtime.simulator import SynchronousSimulator
 from repro.runtime.telemetry import (
     EventStream,
@@ -161,7 +162,7 @@ class TestEventStream:
         stream = EventStream()
         stream.emit(RunStartedEvent(n_nodes=3, engine="vectorized"))
         stream.emit(
-            StepEvent(0, {(0, 1): ("a", "b")}, [FaultEvent(0, "node", 7)])
+            StepEvent(0, {(0, 1): ("a", "b")}, [TopologyEvent(0, NODE_DOWN, 7)])
         )
         stream.emit(RunEndedEvent(steps=1, converged=True))
         path = tmp_path / "events.jsonl"
@@ -169,7 +170,7 @@ class TestEventStream:
         lines = [json.loads(x) for x in path.read_text().splitlines()]
         assert [x["type"] for x in lines] == ["run_started", "step", "run_ended"]
         assert lines[1]["change_count"] == 1
-        assert lines[1]["faults"][0]["kind"] == "node"
+        assert lines[1]["faults"][0]["kind"] == NODE_DOWN
         assert lines[2]["converged"] is True
 
     def test_dump_load_dump_identity(self):
@@ -178,7 +179,7 @@ class TestEventStream:
         stream = EventStream()
         stream.emit(RunStartedEvent(n_nodes=3, engine="vectorized"))
         stream.emit(
-            StepEvent(0, {0: ("a", "b")}, [FaultEvent(0, "node", 7)])
+            StepEvent(0, {0: ("a", "b")}, [TopologyEvent(0, NODE_DOWN, 7)])
         )
         stream.emit(StepEvent(1, change_count=4))
         stream.emit(RunEndedEvent(steps=2, converged=True))
@@ -452,7 +453,7 @@ def _run_for(engine, *, flavour, seed=17):
         )
     net, automaton, init = _distance_workload()
     plan = FaultPlan(
-        [FaultEvent(1, "node", 11), FaultEvent(2, "edge", (4, 5))]
+        [TopologyEvent(1, NODE_DOWN, 11), TopologyEvent(2, EDGE_DOWN, (4, 5))]
     )
     return run(automaton, net, init, fault_plan=plan, until="stable", **kwargs)
 
@@ -527,12 +528,12 @@ class TestManifestReplay:
         # kept alive by the caller) must not make the run — or its replay —
         # start from the stale cursor position; both re-apply the full
         # remaining schedule per the churn.py cursor contract
-        from repro.runtime.churn import NODE_UP, ChurnPlan, TopologyEvent
+        from repro.runtime.churn import NODE_UP, ChurnPlan
 
         net, automaton, init = _distance_workload(10)
         events = [
-            TopologyEvent(1, "node", 7),
-            TopologyEvent(2, "edge", (3, 4)),
+            TopologyEvent(1, NODE_DOWN, 7),
+            TopologyEvent(2, EDGE_DOWN, (3, 4)),
         ]
         if engine != "batched":  # batched boots scatter; keep dets simple
             events.append(

@@ -2,7 +2,8 @@
 
 from repro.algorithms.beta_synchronizer import BetaSynchronizer
 from repro.network import NetworkState, generators
-from repro.runtime.faults import FaultEvent, FaultPlan, random_fault_plan
+from repro.runtime.churn import EDGE_DOWN, NODE_DOWN, TopologyEvent
+from repro.runtime.faults import FaultPlan, random_fault_plan
 from repro.sensitivity import (
     bridges_under_faults,
     census_under_faults,
@@ -63,14 +64,14 @@ class TestSensitivityLadder:
 class TestCensusUnderFaults:
     def test_edge_faults_keep_reasonable_correctness(self):
         net = generators.theta_graph(3, 3, 4)
-        plan = FaultPlan([FaultEvent(2, "edge", net.edges()[0])])
+        plan = FaultPlan([TopologyEvent(2, EDGE_DOWN, net.edges()[0])])
         res = census_under_faults(net, plan, k=8, rng=1)
         assert res.reasonably_correct
         assert res.faults_applied == 1
 
     def test_random_fault_storm(self):
         net = generators.connected_gnp_graph(25, 0.25, 4)
-        plan = random_fault_plan(net, 5, max_time=6, rng=4, kinds=("edge",))
+        plan = random_fault_plan(net, 5, max_time=6, rng=4, kinds=(EDGE_DOWN,))
         res = census_under_faults(net, plan, k=10, rng=4)
         assert res.reasonably_correct
 
@@ -79,7 +80,7 @@ class TestShortestPathsUnderFaults:
     def test_reconverges_to_survivor_distances(self):
         net = generators.grid_graph(4, 4)
         plan = FaultPlan(
-            [FaultEvent(4, "edge", (1, 2)), FaultEvent(7, "node", 10)]
+            [TopologyEvent(4, EDGE_DOWN, (1, 2)), TopologyEvent(7, NODE_DOWN, 10)]
         )
         res = shortest_paths_under_faults(net, [0], plan, rng=2)
         assert res.reasonably_correct
@@ -87,7 +88,7 @@ class TestShortestPathsUnderFaults:
     def test_zero_sensitivity_over_many_seeds(self):
         for seed in range(5):
             net = generators.connected_gnp_graph(16, 0.25, seed)
-            plan = random_fault_plan(net, 3, max_time=8, rng=seed, kinds=("edge",), protect=(0,))
+            plan = random_fault_plan(net, 3, max_time=8, rng=seed, kinds=(EDGE_DOWN,), protect=(0,))
             res = shortest_paths_under_faults(net, [0], plan, rng=seed)
             assert res.reasonably_correct
 
@@ -98,13 +99,13 @@ class TestBridgesUnderFaults:
         # faults only on edges away from node 0 where the agent starts —
         # the agent may wander, so protect a neighbourhood by using few
         # faults late
-        plan = FaultPlan([FaultEvent(400, "edge", (1, 0))])
+        plan = FaultPlan([TopologyEvent(400, EDGE_DOWN, (1, 0))])
         res = bridges_under_faults(net, 0, plan, walk_steps=300, rng=3)
         assert res.reasonably_correct  # agent alive: no critical failure
 
     def test_agent_death_flagged(self):
         net = generators.cycle_graph(5)
-        plan = FaultPlan([FaultEvent(0, "node", 0)])
+        plan = FaultPlan([TopologyEvent(0, NODE_DOWN, 0)])
         res = bridges_under_faults(net, 0, plan, walk_steps=100, rng=1)
         assert not res.reasonably_correct
         assert res.detail["agent_lost"]
@@ -116,7 +117,7 @@ class TestSynchronizerComparison:
         net = generators.grid_graph(3, 3)
         sync = BetaSynchronizer(net.copy(), root=0)
         tree_edge = next(iter(sync._tree_edges))
-        plan = FaultPlan([FaultEvent(5, "edge", tree_edge)])
+        plan = FaultPlan([TopologyEvent(5, EDGE_DOWN, tree_edge)])
         res = synchronizer_fault_comparison(net, plan, rounds=20, rng=0)
         assert res["beta_broken"]
         assert res["beta_rounds_completed"] <= 5
@@ -192,7 +193,7 @@ class TestKernelChurnSweep:
         """A plan whose last arrival lies beyond max_steps keeps every
         replica unconverged: a pending arrival can re-add contenders."""
         from repro.algorithms import election
-        from repro.runtime.churn import ChurnPlan, TopologyEvent
+        from repro.runtime.churn import ChurnPlan
         from repro.sensitivity import kernel_churn_sweep
 
         net = generators.complete_graph(8)
