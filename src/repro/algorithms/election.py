@@ -581,6 +581,16 @@ def kernel_remaining_count(counts: Mapping) -> int:
     return counts.get(K_REMAIN0, 0) + counts.get(K_REMAIN1, 0)
 
 
+def _survivors(state: Mapping) -> int:
+    """Remaining candidates (nodes not out) in a node → state mapping,
+    counted from ``state.counts()`` when it is a :class:`NetworkState`
+    (one ``np.bincount`` on an array-backed state)."""
+    if isinstance(state, NetworkState):
+        counts = state.counts()
+        return sum(counts.values()) - counts.get(K_OUT, 0)
+    return sum(1 for q in state.values() if q != K_OUT)
+
+
 def kernel_unique_survivor(state: Mapping) -> bool:
     """Termination predicate: at most one remaining candidate.
 
@@ -588,7 +598,7 @@ def kernel_unique_survivor(state: Mapping) -> bool:
     campaign jobs that shard them across worker processes — stay
     picklable.
     """
-    return sum(1 for q in state.values() if q != K_OUT) <= 1
+    return _survivors(state) <= 1
 
 
 class KernelPhaseStats(NamedTuple):
@@ -642,10 +652,7 @@ def _phase_statistics(net, replicas, rng, max_steps, metrics):
         replicas=replicas,
         rounds=res.replica_rounds,
         mean_rounds=float(np.mean(res.replica_rounds)),
-        survivor_counts=[
-            sum(1 for q in st.values() if q != K_OUT)
-            for st in res.replica_states
-        ],
+        survivor_counts=[_survivors(st) for st in res.replica_states],
     )
     return stats, res
 

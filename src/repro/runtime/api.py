@@ -474,7 +474,6 @@ def _run_array(eng: SynchronousArrayEngine, batched: bool, until, max_steps,
 
     def step_once() -> np.ndarray:
         nonlocal draws
-        old = eng._sigmas  # step() replaces the array; this snapshot stays valid
         active = int(np.count_nonzero(eng._active))
         changed = eng._step()
         if eng._probabilistic:
@@ -497,9 +496,10 @@ def _run_array(eng: SynchronousArrayEngine, batched: bool, until, max_steps,
                 change_counts.append(int(eng._sizes[diff[0]].sum()))
             changes = None
             if observers:
-                new = eng._sigmas[0]
+                # σ as the step read it (arrival boots included) and after
+                old, new = eng._sigmas_before[0], eng._sigmas[0]
                 changes = {} if diff is None else {
-                    v: (eng.alphabet[old[0, i]], eng.alphabet[new[i]])
+                    v: (eng.alphabet[old[i]], eng.alphabet[new[i]])
                     for i in eng._changed_rows().tolist() for v in members[i]
                 }
         for ob in observers:

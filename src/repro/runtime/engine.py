@@ -29,12 +29,22 @@ the degree), and by Lemma 3.8 the transition is one gather from the IR's
 counter table (:attr:`~repro.core.ir.StepTables.counter_table`), or the
 ``np.select`` cascade when that table is over its cap.
 
+σ stays a code array from the initial state to the result.  An
+array-backed initial state over the topology's rows (what
+``NetworkState.uniform`` builds on an array-built network, or an earlier
+run's result) is encoded by one gather through a table from its codes to
+the IR's; any other mapping in one ``np.fromiter`` pass.  The states the
+engine hands out — replica and final states, the argument of an ``until``
+predicate — wrap a row of σ with the IR's decode table and are never
+decoded here.  That is safe because a step replaces σ instead of writing
+it, and an arrival boot copies σ before writing the boot state.
+
 The counts → transition kernel itself runs through the hooks of
 :class:`~repro.runtime.backends.NumpyBackend`; this module keeps
-everything around it: state encoding and decoding (one array pass each),
-the incremental churn masks and live view, the replica masks, telemetry
-and the one termination policy (:func:`drive`), which :func:`repro.run`
-uses too.  :class:`~repro.runtime.vectorized.VectorizedSynchronousEngine`,
+everything around it: state encoding, the incremental churn masks and
+live view, the replica masks, telemetry and the one termination policy
+(:func:`drive`), which :func:`repro.run` uses too.
+:class:`~repro.runtime.vectorized.VectorizedSynchronousEngine`,
 :class:`~repro.runtime.batched.BatchedSynchronousEngine` and
 :class:`~repro.runtime.quotient.QuotientSynchronousEngine` are thin
 constructors over :class:`SynchronousArrayEngine`.
@@ -63,7 +73,7 @@ from scipy import sparse
 
 from repro.core.ir import lower
 from repro.network.graph import Network
-from repro.network.state import NetworkState, require_states
+from repro.network.state import NetworkState, _ArrayState, require_states
 from repro.runtime.backends import DEFAULT_MAX_STEPS, resolve_backend
 from repro.runtime.backends.kernels import narrow_int
 from repro.runtime.churn import (
@@ -84,13 +94,23 @@ __all__ = [
 def _encode_states(
     init: Mapping, order: list, code: Mapping, net: Optional[Network] = None
 ) -> np.ndarray:
-    """``init`` as int codes over the row labels ``order``, in one array pass.
+    """``init`` as int codes over the row labels ``order``, in one array pass:
+    a gather when ``init`` is an array state over the same rows.
 
     Pass ``net`` when the order spans a plan's union topology: rows whose
     node has not arrived yet hold a placeholder 0 until their ``node-up``
     event scatters the boot state in.  A node ``init`` leaves out raises
     the reference simulator's :class:`ValueError`.
     """
+    if net is None and isinstance(init, _ArrayState) and init._aligned(order):
+        # an array state over these rows: one gather through its table
+        table = np.array([code.get(q, -1) for q in init._decode.tolist()],
+                         dtype=np.int64)
+        codes = table[init._codes]
+        if table.min(initial=0) < 0 and codes.min(initial=0) < 0:
+            bad = init._decode[init._codes[np.argmax(codes < 0)]]
+            raise ValueError(f"own state {bad!r} not in Q")
+        return codes
     if net is not None:
         codes = (code[init[v]] if v in net else 0 for v in order)
     elif isinstance(init, NetworkState):
@@ -531,7 +551,7 @@ class SynchronousArrayEngine:
                     state, self._order, self._code, net if union else None
                 )
             sigmas[r] = row
-        self._sigmas = sigmas
+        self._sigmas = self._sigmas_before = sigmas
         self._active = np.ones(self.replicas, dtype=bool)
         self._rounds = np.zeros(self.replicas, dtype=np.int64)
 
@@ -602,11 +622,15 @@ class SynchronousArrayEngine:
         """Fold fired topology events into the incremental live masks."""
         if self._fault_mask is None:
             self._fault_mask = _ChurnMask(self.adjacency, self._pos0)
-        for i, q in self._fault_mask.apply(fired):
+        boots = self._fault_mask.apply(fired)
+        if boots:
             # an arriving node boots in its event's declared state, in
-            # every replica; the one in-place write to σ, made before the
-            # step, so change reports are relative to the boot state
-            self._sigmas[:, i] = self._code[q]
+            # every replica, before the step; σ is copied first, since
+            # states handed out earlier may share its rows
+            sigmas = self._sigmas.copy()
+            for i, q in boots:
+                sigmas[:, i] = self._code[q]
+            self._sigmas = sigmas
         self._set_live_view()
 
     def _step(self) -> np.ndarray:
@@ -615,8 +639,9 @@ class SynchronousArrayEngine:
         Returns a boolean ``(R,)`` array: True where that replica changed.
         Inactive replicas do not evolve, do not draw, and report False.
         Due topology events fire (once, shared by all replicas) before
-        the update.  σ is replaced, never written in place (apart from
-        arrival boots), so a caller's pre-step reference stays valid.
+        the update.  σ is replaced, never written in place, so a state
+        wrapping a row of it stays valid; ``_sigmas_before`` keeps the σ
+        the step read (arrival boots included) for change reports.
         """
         self.last_faults = []
         if self.fault_plan is not None:
@@ -673,6 +698,7 @@ class SynchronousArrayEngine:
                 met.inc("node_updates_lifted", int((diff * self._sizes).sum()))
             if self._probabilistic:
                 met.inc("rng_draws", act.size * m)
+        self._sigmas_before = self._sigmas
         if whole:
             self._sigmas = new_sig
         else:
@@ -721,14 +747,15 @@ class SynchronousArrayEngine:
         return rows
 
     # ------------------------------------------------------------------
-    def _decode(self, nodes: list, codes: np.ndarray) -> NetworkState:
-        return NetworkState(
-            dict(zip(nodes, self._ir.step_tables.decode[codes].tolist()))
-        )
+    def _decode(self, nodes: Sequence, codes: np.ndarray) -> NetworkState:
+        """An array state over ``nodes`` sharing ``codes`` (a row of σ,
+        which steps replace rather than write, or a gather of one)."""
+        return _ArrayState(nodes, codes, self._ir.step_tables.decode)
 
     def replica_state(self, r: int) -> NetworkState:
         """Replica ``r``'s state over the nodes currently in the network,
-        lifted through the topology's row map, in one gather."""
+        lifted through the topology's row map, in one gather, and left
+        array-backed."""
         sig = self._sigmas[r]
         if self._live_pos is None:
             nodes, rows = self._nodes, self._lift
@@ -742,7 +769,7 @@ class SynchronousArrayEngine:
 
     @property
     def states(self) -> list[NetworkState]:
-        """All replicas' decoded states."""
+        """All replicas' states (array-backed, see :meth:`replica_state`)."""
         return [self.replica_state(r) for r in range(self.replicas)]
 
     def replica_state_counts(self, r: int) -> dict:
@@ -790,7 +817,7 @@ class SingleReplicaEngine(SynchronousArrayEngine):
 
     @property
     def state(self) -> NetworkState:
-        """The current state, decoded (live nodes only)."""
+        """The current state over the live nodes (array-backed)."""
         return self.replica_state(0)
 
     def state_counts(self) -> dict:

@@ -65,7 +65,7 @@ from scipy import sparse
 from repro.core.automaton import FSSGA, ProbabilisticFSSGA
 from repro.core.ir import CompiledAutomaton, QuotientLoweringError
 from repro.network.graph import Network
-from repro.network.state import NetworkState, require_states
+from repro.network.state import NetworkState, _ArrayState, require_states
 from repro.network.symmetry import SymmetryError
 from repro.runtime.backends import NumpyBackend
 from repro.runtime.churn import ChurnPlan
@@ -124,20 +124,38 @@ def quotient_blocker(
             f"{type(init).__name__}",
         )
     part = net.orbit_partition()
+    if isinstance(init, _ArrayState) and init._aligned(nodes := list(part.orbit_of)):
+        # one gather: every row's code against its representative's, which
+        # is its orbit's first row (orbits are numbered by first row)
+        lift = np.fromiter(part.orbit_of.values(), dtype=np.int64, count=len(nodes))
+        rep_rows = np.unique(lift, return_index=True)[1][lift]
+        codes = init._codes
+        bad = np.flatnonzero(codes != codes[rep_rows])
+        if bad.size:
+            t = int(bad[0])
+            decode = init._decode
+            return _not_orbit_constant(
+                nodes[t], decode[codes[t]], part.reps[lift[t]],
+                decode[codes[rep_rows[t]]],
+            )
+        return None
     try:
         for v, j in part.orbit_of.items():
             rep = part.reps[j]
             if init[v] != init[rep]:
-                return (
-                    "init-not-orbit-constant",
-                    f"initial state is not orbit-constant: node {v!r} has "
-                    f"state {init[v]!r} but its orbit representative {rep!r} "
-                    f"has {init[rep]!r}",
-                )
+                return _not_orbit_constant(v, init[v], rep, init[rep])
     except KeyError:
         require_states(init, net)
         raise
     return None
+
+
+def _not_orbit_constant(v, q, rep, q_rep) -> tuple[str, str]:
+    return (
+        "init-not-orbit-constant",
+        f"initial state is not orbit-constant: node {v!r} has state {q!r} "
+        f"but its orbit representative {rep!r} has {q_rep!r}",
+    )
 
 
 def quotient_topology(net: Network) -> Topology:

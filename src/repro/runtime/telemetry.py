@@ -669,7 +669,9 @@ _JSON_FIELDS = tuple(
 
 
 def _snapshot(state: Mapping) -> Mapping:
-    """A private copy of a node → state assignment."""
+    """A private copy of a node → state assignment.  An array-backed
+    state's copy shares its read-only arrays, so this costs O(1) for the
+    array engines' results; mutating the original cannot reach it."""
     return state.copy() if hasattr(state, "copy") else dict(state)
 
 

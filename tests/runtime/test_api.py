@@ -669,6 +669,42 @@ class TestObservers:
         assert fault_times == [2]
 
 
+class TestResultStatesAreIndependent:
+    """Result states share the engine's final σ; a caller mutating one of
+    them must not reach the manifest or the other replicas."""
+
+    def test_mutating_result_states(self):
+        from repro.algorithms import election
+        from repro.runtime.telemetry import state_fingerprint
+
+        net = generators.cycle_graph(16)
+        res = run(
+            election.coin_kernel_programs(), net, election.coin_kernel_init(net),
+            replicas=3, randomness=2, rng=11, until=4,
+        )
+        before = [list(s.items()) for s in res.replica_states]
+        prints = [state_fingerprint(s) for s in res.replica_states]
+        res.final_state[0] = "mutated"
+        res.replica_states[1][3] = "mutated"
+        assert res.manifest.final_fingerprint == prints[0]
+        assert res.manifest.replica_fingerprints == prints
+        assert list(res.replica_states[2].items()) == before[2]
+        assert res.replica_states[0][0] == res.replica_states[1][3] == "mutated"
+
+    def test_mutating_a_single_replica_final_state(self):
+        from repro.algorithms import election
+        from repro.runtime.telemetry import state_fingerprint
+
+        net = generators.circulant_graph(64, (1, 2))
+        res = run(
+            election.coin_kernel_programs(), net, election.coin_kernel_init(net),
+            randomness=2, rng=11, until=4,
+        )
+        want = state_fingerprint(res.final_state)
+        res.final_state.drop([0, 1])
+        assert res.manifest.final_fingerprint == want
+
+
 # ----------------------------------------------------------------------
 # bitwise reference ≡ vectorized through the front door
 # ----------------------------------------------------------------------

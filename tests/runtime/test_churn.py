@@ -386,3 +386,60 @@ class TestEngineBootValidation:
         )
         with pytest.raises(ValueError, match="not-a-state"):
             VectorizedSynchronousEngine(net, programs, init, fault_plan=plan)
+
+
+class TestStatesAcrossArrivals:
+    """States handed out by the array engine share σ's rows; an arrival
+    boot must not write into them, and change reports must stay relative
+    to the boot state, as on the reference engine."""
+
+    @staticmethod
+    def _programs():
+        from repro.core.modthresh import ModThreshProgram, at_least
+
+        # a booting node leaves "b" at once; its neighbours notice it
+        return {
+            "s": ModThreshProgram(clauses=((at_least("b", 1), "i"),), default="s"),
+            "b": ModThreshProgram(clauses=(), default="x"),
+            "i": ModThreshProgram(clauses=(), default="i"),
+            "x": ModThreshProgram(clauses=(), default="x"),
+        }
+
+    @staticmethod
+    def _plan():
+        return ChurnPlan([
+            TopologyEvent(1, NODE_DOWN, 2),
+            TopologyEvent(2, NODE_UP, "v", state="b", edges=(0, 5)),
+            TopologyEvent(3, NODE_UP, 2, state="b", edges=(1, 3)),
+        ])
+
+    def test_predicate_state_survives_the_boot_step(self):
+        from repro import run
+
+        net = generators.cycle_graph(6)
+        seen = []
+
+        def until(state):
+            seen.append((state, list(state.items())))
+            return len(seen) > 5
+
+        run(self._programs(), net, NetworkState.uniform(net, "s"),
+            engine="vectorized", until=until, fault_plan=self._plan())
+        assert len(seen) == 6
+        for state, items in seen:  # the boot steps are 2 and 3
+            assert list(state.items()) == items
+
+    def test_trace_observer_changes_match_the_reference(self):
+        from repro import TraceObserver, run
+
+        traces = {}
+        for engine in ("reference", "vectorized"):
+            net = generators.cycle_graph(6)
+            ob = TraceObserver()
+            run(self._programs(), net, NetworkState.uniform(net, "s"),
+                engine=engine, until=5, fault_plan=self._plan(), observers=(ob,))
+            traces[engine] = [(e.time, e.changes) for e in ob.trace.steps]
+        assert traces["vectorized"] == traces["reference"]
+        # the arrivals report their change out of the boot state
+        assert traces["reference"][2][1]["v"] == ("b", "x")
+        assert traces["reference"][3][1][2] == ("b", "x")

@@ -127,6 +127,28 @@ class TestPreconditionErrors:
             QuotientSynchronousEngine(net, _spread_programs(), init)
         assert exc.value.blocker == "init-not-orbit-constant"
 
+    @pytest.mark.parametrize("shift", [1, 2])
+    def test_array_state_init_names_the_same_node(self, shift):
+        # an array-backed init takes the one-gather orbit check; its error
+        # must match the per-node loop's on the equivalent dict state
+        from repro.algorithms import election
+        from repro.network.state import _ArrayState
+
+        net = _declared_cycle(12, shift=shift)
+        res = run(
+            election.coin_kernel_programs(), net, election.coin_kernel_init(net),
+            randomness=2, rng=5, until=1,
+        )
+        assert type(res.final_state) is _ArrayState
+        errors = []
+        for init in (res.final_state, NetworkState(dict(res.final_state))):
+            with pytest.raises(QuotientLoweringError) as exc:
+                run(election.coin_kernel_programs(), net, init, randomness=2,
+                    rng=5, until=1, engine="quotient")
+            errors.append((exc.value.blocker, str(exc.value)))
+        assert errors[0] == errors[1]
+        assert errors[0][0] == "init-not-orbit-constant"
+
     def test_fault_plan_rejected(self):
         net = _declared_cycle(6)
         with pytest.raises(QuotientLoweringError, match="break symmetry") as exc:
