@@ -196,7 +196,7 @@ def _table_index(ir, tables, counts, sig, draws) -> np.ndarray:
     idx = sig.astype(dtype)
     if draws is not None:
         idx *= ir.randomness
-        idx += draws.astype(dtype)
+        idx += draws.astype(dtype, copy=False)
     stride = table.shape[1]
     if stride > 1:
         idx *= stride

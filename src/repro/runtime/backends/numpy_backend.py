@@ -83,8 +83,12 @@ class NumpyBackend:
 
         One bounded ``integers(r, size=m)`` vector per call — the stream
         the reference interpreter consumes one scalar at a time, so
-        shared-seed runs agree bitwise.  Override only to observe or
-        post-process, never to change the stream.
+        shared-seed runs agree bitwise.  ``rng`` is a caller's Generator
+        or draw source, or, for a stream the engine created itself, the
+        engine's private stream object, which serves the same values from
+        the raw PCG64 bit stream (see :mod:`repro.runtime.engine`).
+        Override only to observe or post-process, never to change the
+        stream, and pass ``rng`` through as given.
         """
         return rng.integers(randomness, size=size)
 

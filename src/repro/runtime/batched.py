@@ -69,8 +69,12 @@ def _normalize_init(
     return inits
 
 
+def _explicit_streams(rng) -> bool:
+    return isinstance(rng, Sequence) and not isinstance(rng, (str, bytes))
+
+
 def _spawn_streams(rng, replicas: int) -> list[np.random.Generator]:
-    if isinstance(rng, Sequence) and not isinstance(rng, (str, bytes)):
+    if _explicit_streams(rng):
         streams = list(rng)
         if len(streams) != replicas:
             raise ValueError(
@@ -156,3 +160,5 @@ class BatchedSynchronousEngine(SynchronousArrayEngine):
             net, programs, inits, randomness, _spawn_streams(rng, len(inits)),
             fault_plan, metrics, backend,
         )
+        if not _explicit_streams(rng):
+            self._own_streams()  # spawned here, so fresh

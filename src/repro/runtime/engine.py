@@ -22,6 +22,14 @@ The engine has two parameters:
 * **R ≥ 1 replicas**, each with its own random stream and an active mask.
   Inactive replicas do not evolve and do not draw.
 
+A probabilistic step draws ``integers(r, size=m)`` per active replica
+through the backend's ``draw`` hook.  A stream the engine created itself
+(from a seed, or spawned for the replicas) is fresh, so for a power-of-two
+r ≤ 256 the engine hands the hook a :class:`_RawStream`, which reads the
+same values straight from the raw PCG64 bit stream as uint8 and leaves the
+stream at the same position.  A caller's Generator, a duck-typed source
+and any other bit generator or r are drawn with plain ``integers``.
+
 The step runs on compact arrays: σ is stored in the narrowest signed
 integer dtype holding the alphabet, the CSR's entries in the narrowest
 dtype holding its largest row sum (the stencil's counts in one holding
@@ -64,6 +72,7 @@ interpreter, which draws once per live node in insertion order.
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Mapping, Sequence
 from functools import cached_property
 from typing import Callable, NamedTuple, Optional
@@ -128,6 +137,70 @@ def _encode_states(
             if init[v] not in code:
                 raise ValueError(f"own state {init[v]!r} not in Q") from None
         raise
+
+
+class _RawStream:
+    """``integers(r, size=m)`` of a fresh PCG64 Generator, drawn from its
+    raw bit stream: the same values at the same stream position.
+
+    For r = 2^k (1 ≤ k ≤ 8) numpy's bounded ``integers`` takes each value
+    as the top k bits of one 32-bit half of a raw 64-bit output, low half
+    first, and Lemire's rejection never fires because 2^32 mod r = 0.  So
+    when no 32-bit half is cached and m is even, ``random_raw(m // 2)``
+    viewed as uint32 and shifted right by 32 − k is that vector, and it
+    leaves ``has_uint32`` at 0 as ``integers`` does (only the unused
+    ``uinteger`` slot goes stale).  The stream keeps the "a half is
+    cached" bit itself: it is fresh when wrapped, so no
+    ``bit_generator.state`` read is needed.  An odd m on a cached half
+    takes that half as one scalar draw, then the raw path; every other
+    call goes to ``integers`` and flips the bit when m is odd.  Raw draws
+    come as uint8.
+    """
+
+    __slots__ = ("gen", "_raw", "_shift", "_cached")
+
+    def __init__(self, gen: np.random.Generator, r: int) -> None:
+        self.gen = gen
+        self._raw = gen.bit_generator.random_raw
+        self._shift = 33 - r.bit_length()  # 32 − k
+        self._cached = False
+
+    def integers(self, high: int, size: int) -> np.ndarray:
+        """``gen.integers(high, size=size)`` for ``high`` = the wrapped r."""
+        odd = size & 1
+        if size and odd == self._cached:  # even and none cached, or odd on one
+            if not odd:
+                return self._bits(size)
+            out = np.empty(size, dtype=np.uint8)
+            out[0] = self.gen.integers(high)  # takes the cached half
+            out[1:] = self._bits(size - 1)
+            self._cached = False
+            return out
+        if odd:
+            self._cached = not self._cached
+        return self.gen.integers(high, size=size)
+
+    def _bits(self, m: int) -> np.ndarray:
+        halves = self._raw(m // 2).view(np.uint32)
+        halves >>= self._shift
+        return halves.astype(np.uint8)
+
+
+def _is_seed(rng) -> bool:
+    """Whether :func:`~repro.runtime.telemetry.coerce_rng` builds a fresh
+    Generator from ``rng`` rather than passing a caller's source through."""
+    return rng is None or isinstance(rng, (int, np.integer, np.random.SeedSequence))
+
+
+def _draw_source(gen, r: int):
+    """The draw source for a stream the engine created itself: a
+    :class:`_RawStream` when it can serve ``integers(r, size=m)`` from the
+    raw bit stream (a PCG64 Generator, r a power of two in [2, 256], a
+    little-endian host), else ``gen``."""
+    if (2 <= r <= 256 and not r & (r - 1) and sys.byteorder == "little"
+            and type(gen.bit_generator) is np.random.PCG64):
+        return _RawStream(gen, int(r))
+    return gen
 
 
 class _ChurnMask:
@@ -536,6 +609,7 @@ class SynchronousArrayEngine:
         self._n = len(self._order)
         self.replicas = len(inits)
         self.rngs = rngs
+        self._draw_sources = rngs  # see _own_streams
         self.time = 0
 
         # the narrowest code dtype: σ, the counts and the table index of a
@@ -573,6 +647,18 @@ class SynchronousArrayEngine:
                 net, fault_plan, self.adjacency, self._pos0, self._code
             )
             self._set_live_view()
+
+    def _own_streams(self) -> None:
+        """Draw through :func:`_draw_source`: the constructors call this
+        when they created ``rngs`` themselves (from a seed, or spawned), so
+        the streams are fresh.  A caller's Generators stay on plain
+        ``integers``: the caller may draw from them between steps, and
+        :func:`~repro.runtime.telemetry.capture_rng` snapshots their full
+        state, ``uinteger`` included."""
+        if self._probabilistic:
+            self._draw_sources = [
+                _draw_source(g, self.randomness) for g in self.rngs
+            ]
 
     @cached_property
     def _pos0(self) -> dict:
@@ -678,7 +764,7 @@ class SynchronousArrayEngine:
         if self._probabilistic:
             # one draw vector per active replica, from its own stream, in
             # replica order — replica r matches a solo run on rngs[r]
-            per = [self.backend.draw(self.rngs[r], self.randomness, m)
+            per = [self.backend.draw(self._draw_sources[r], self.randomness, m)
                    for r in act.tolist()]
             draws = per[0] if one else np.concatenate(per).reshape(sig.shape)
         else:

@@ -69,7 +69,7 @@ from repro.network.state import NetworkState, _ArrayState, require_states
 from repro.network.symmetry import SymmetryError
 from repro.runtime.backends import NumpyBackend
 from repro.runtime.churn import ChurnPlan
-from repro.runtime.engine import SingleReplicaEngine, Topology
+from repro.runtime.engine import SingleReplicaEngine, Topology, _is_seed
 from repro.runtime.telemetry import MetricsRegistry, coerce_rng
 
 __all__ = ["QuotientSynchronousEngine", "OrbitBroadcastRng", "quotient_blocker"]
@@ -221,6 +221,8 @@ class QuotientSynchronousEngine(SingleReplicaEngine):
             net, programs, [init], randomness, [coerce_rng(rng)], None,
             metrics, backend, quotient_topology(net),
         )
+        if _is_seed(rng):
+            self._own_streams()
         self.partition = net.orbit_partition()
 
     @property

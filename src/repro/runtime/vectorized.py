@@ -22,7 +22,7 @@ from repro.network.graph import Network
 from repro.network.state import NetworkState
 from repro.runtime.backends import NumpyBackend
 from repro.runtime.churn import ChurnPlan
-from repro.runtime.engine import SingleReplicaEngine
+from repro.runtime.engine import SingleReplicaEngine, _is_seed
 from repro.runtime.telemetry import MetricsRegistry, coerce_rng
 
 __all__ = ["VectorizedSynchronousEngine"]
@@ -88,3 +88,5 @@ class VectorizedSynchronousEngine(SingleReplicaEngine):
             net, programs, [init], randomness, [coerce_rng(rng)],
             fault_plan, metrics, backend,
         )
+        if _is_seed(rng):
+            self._own_streams()

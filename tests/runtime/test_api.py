@@ -779,6 +779,40 @@ class TestFrontDoorBitwiseConformance:
             )
         assert outcomes[0] == outcomes[1]
 
+    @pytest.mark.parametrize("n", [8, 9])
+    def test_caller_generator_ends_where_the_reference_leaves_it(self, n):
+        """A caller's Generator is drawn with plain ``integers``: after a
+        run its whole bit-generator state, ``uinteger`` included, is the
+        reference engine's — what a manifest of the next run captures."""
+        from repro.algorithms import election
+
+        net = generators.complete_graph(n)
+        args = (election.coin_kernel_programs(), net, election.coin_kernel_init(net))
+        g, g2 = np.random.default_rng(77), np.random.default_rng(77)
+        run(*args, engine="vectorized", randomness=2, until=5, rng=g)
+        run(*args, engine="reference", randomness=2, until=5, rng=g2)
+        assert g.bit_generator.state == g2.bit_generator.state
+
+    @pytest.mark.parametrize("n", [8, 9])
+    def test_reused_caller_generator_manifest_hash(self, n):
+        """A second run on a reused Generator hashes as if the first run
+        drew ``integers(2, size=n)`` once per step from it."""
+        from repro.algorithms import election
+        from repro.runtime.telemetry import manifest_content_hash
+
+        net = generators.complete_graph(n)
+        args = (election.coin_kernel_programs(), net, election.coin_kernel_init(net))
+        kw = dict(engine="vectorized", randomness=2, until=5)
+        g = np.random.default_rng(78)
+        run(*args, rng=g, **kw)
+        second = run(*args, rng=g, **kw)
+        twin = np.random.default_rng(78)
+        for _ in range(5):
+            twin.integers(2, size=n)
+        expected = run(*args, rng=twin, **kw)
+        assert (manifest_content_hash(second.manifest)
+                == manifest_content_hash(expected.manifest))
+
     def test_coin_kernel_seeded(self):
         from repro.algorithms import election
 

@@ -133,6 +133,36 @@ class TestSeedDeterminism:
                     f"replica {r} diverged from its spawned stream at step {step}"
                 )
 
+    @pytest.mark.parametrize("seed", [5, 6])
+    def test_odd_n_replicas_match_solo_runs_on_the_children(self, seed):
+        """On an odd n every step draws an odd count, so the spawned
+        streams alternate between an odd call on no cached half and one on
+        a cached half; the solo runs draw the same children through plain
+        ``integers``."""
+        net = generators.complete_graph(9)
+        programs = election.coin_kernel_programs()
+        init = election.coin_kernel_init(net)
+        R = 3
+        bat = BatchedSynchronousEngine(
+            net, programs, init, replicas=R, randomness=2, rng=seed
+        )
+        singles = [
+            VectorizedSynchronousEngine(net, programs, init, randomness=2, rng=g)
+            for g in np.random.default_rng(seed).spawn(R)
+        ]
+        assert all(s.gen is g for s, g in zip(bat._draw_sources, bat.rngs))
+        for step in range(9):
+            bat.step()
+            for r, single in enumerate(singles):
+                single.step()
+                assert bat._sigma[r].tobytes() == single._sigma.tobytes(), (
+                    f"replica {r} diverged at step {step}"
+                )
+                ours = bat.rngs[r].bit_generator.state
+                theirs = single.rng.bit_generator.state
+                assert ours["state"] == theirs["state"]
+                assert ours["has_uint32"] == theirs["has_uint32"] == (step + 1) % 2
+
     def test_random_walk_replicas_match_spawned_single_runs(self):
         from repro.algorithms import random_walk as rw
 

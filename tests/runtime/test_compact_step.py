@@ -106,6 +106,25 @@ def test_counter_table_equals_the_cascade(name):
     )
 
 
+@pytest.mark.parametrize("name", ["coin-kernel", "random-walk-rule"])
+def test_narrow_draws_give_the_same_successors(name):
+    """The engine's raw-stream draws come as uint8, a caller's as int64:
+    the counter table and the cascade read both alike."""
+    ir = IRS[name]
+    tables = ir.step_tables
+    rng = np.random.default_rng(len(name))
+    m = 2000
+    counts = rng.integers(0, 9, size=(m, len(tables.counters)))
+    sig = rng.integers(len(ir.alphabet), size=m).astype(tables.lut.dtype)
+    draws = rng.integers(ir.randomness, size=m)
+    narrow = draws.astype(np.uint8)
+    want = _cascade(ir, counts, sig, draws)
+    np.testing.assert_array_equal(_cascade(ir, counts, sig, narrow), want)
+    assert tables.counter_table is not None
+    for d in (draws, narrow):
+        np.testing.assert_array_equal(kernels.transition(ir, counts, sig, None, d), want)
+
+
 def test_bfs_keeps_the_cascade():
     assert IRS["bfs"].step_tables.counter_table is None
     assert IRS["shortest-paths-8"].step_tables.counter_table is None
