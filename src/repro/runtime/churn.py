@@ -185,11 +185,6 @@ class ChurnPlan:
         return list(self._events)
 
     @property
-    def has_arrivals(self) -> bool:
-        """True iff the plan contains any ``node-up`` event."""
-        return any(e.kind == NODE_UP for e in self._events)
-
-    @property
     def has_additions(self) -> bool:
         """True iff the plan adds any topology (``node-up`` or ``edge-up``)
         — the condition under which the array engines lower the *union*

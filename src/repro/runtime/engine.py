@@ -49,7 +49,7 @@ it, and an arrival boot copies σ before writing the boot state.
 
 The counts → transition kernel itself runs through the hooks of
 :class:`~repro.runtime.backends.NumpyBackend`; this module keeps
-everything around it: state encoding, the incremental churn masks and
+everything around it: state encoding, the churn mask and
 live view, the replica masks, telemetry and the one termination policy
 (:func:`drive`), which :func:`repro.run` uses too.
 :class:`~repro.runtime.vectorized.VectorizedSynchronousEngine`,
@@ -60,9 +60,10 @@ constructors over :class:`SynchronousArrayEngine`.
 Churn plans (and their deletion-only :class:`FaultPlan` subclass) are
 lowered rather than interpreted: events fire against the live
 :class:`~repro.network.graph.Network` *before* the step whose time has
-arrived (the reference contract), and each topology change updates an
-incremental :class:`_ChurnMask` over the construction-time CSR, so a
-topology change costs O(events + nnz) slicing instead of an O(n + m)
+arrived (the reference contract).  The engine builds one
+:class:`_ChurnMask` per plan at construction, over its own copy of the
+construction-time CSR; each event is a few index writes into it, and a
+topology change costs one O(nnz) live-view slice instead of an O(n + m)
 Python re-export of the adjacency.  Between firings the kernel runs on
 the live-compacted arrays; dead nodes are excluded from counts, draws and
 decoding, and arrivals are drawn for in reference re-insertion order, so
@@ -86,7 +87,6 @@ from repro.network.state import NetworkState, _ArrayState, require_states
 from repro.runtime.backends import DEFAULT_MAX_STEPS, resolve_backend
 from repro.runtime.backends.kernels import narrow_int
 from repro.runtime.churn import (
-    EDGE_DOWN,
     EDGE_UP,
     NODE_DOWN,
     NODE_UP,
@@ -204,90 +204,94 @@ def _draw_source(gen, r: int):
 
 
 class _ChurnMask:
-    """A churn plan lowered to alive-node / alive-edge masks over the
-    construction-time CSR.
+    """A churn plan lowered to an alive flag per row and stored-entry values
+    over the engine's own copy of the construction-time CSR.
 
-    For deletion-only plans this is the historical fault mask: node-down
-    flips an alive flag, edge-down zeros the edge's two stored entries
-    (the matrix is copy-on-first-data-mutation, so fault-free and
-    node-fault-only runs never duplicate the adjacency), and ``live_view``
-    slices the masked matrix down to the surviving rows/columns — stored
-    zeros contribute nothing to neighbour counts or degree sums, so the
-    sliced view is numerically identical to re-exporting the mutated
-    network, at O(nnz) array cost instead of an O(n + m) Python rebuild.
+    The CSR spans every node and edge the plan can produce: the live
+    network for a deletion-only plan, the plan's **union topology** when
+    it adds topology.  Rows of nodes not yet arrived start dead, and the
+    entries absent at t = 0 (a not-yet-arrived endpoint, or a future
+    ``edge-up``) start as stored zeros.  Each fired event is then a few
+    index writes:
 
-    Plans that *add* topology lower through the same representation: the
-    engine exports the plan's **union topology** (every node and edge the
-    schedule can ever produce) as the construction-time CSR, not-yet-
-    arrived rows start with ``initial_alive`` False and their edge entries
-    stored as explicit zeros, and up events flip flags/entries back on —
-    so arrivals never leave the vector fast path.  Two extra pieces make
-    resurrection exact: ``track_edges`` (on whenever the plan has node
-    arrivals) makes node-down also zero the node's incident stored
-    entries, because a returning node re-attaches only the edges its
-    ``node-up`` event lists; and an insertion *stamp* per row reproduces
-    the reference network's dict order — initial nodes keep ascending
-    construction order, (re)arrivals move to the back in firing order —
-    which is exactly the order the reference interpreter draws in, so
-    probabilistic churn runs stay bitwise identical.
+    * ``node-down`` clears the row's flag and zeroes its stored entries
+      and their mirrors, since a returning node re-attaches only the edges
+      its ``node-up`` lists;
+    * ``edge-down`` / ``edge-up`` write the entry pair 0 / 1;
+    * ``node-up`` sets the flag, writes 1 to its listed pairs with alive
+      partners, and moves the row's insertion *stamp* to the back.
+
+    An event pair absent from the pattern is skipped, as a pre-empted
+    event is; a pair's data indices come from one ``searchsorted`` on the
+    ascending ``row * n + col`` keys, and each entry's mirror index is
+    computed once.  ``live_view`` slices the matrix down to the alive
+    rows: stored zeros add nothing to neighbour counts or degrees, so the
+    view equals a re-export of the mutated network.  The stamps reproduce
+    the reference network's dict order (initial nodes in construction
+    order, (re)arrivals at the back in firing order), the order the
+    reference interpreter draws in, so probabilistic churn runs stay
+    bitwise identical.
     """
 
-    __slots__ = (
-        "_A", "_alive", "_pos0", "_copied", "_stamp", "_next_stamp",
-        "_track_edges",
-    )
+    __slots__ = ("_A", "_keys", "_mirror", "_alive", "_pos0", "_stamp", "_next_stamp")
 
     def __init__(
         self,
+        net: Network,
+        plan: ChurnPlan,
         adjacency: sparse.csr_matrix,
         pos0: Mapping,
-        initial_alive: Optional[np.ndarray] = None,
-        track_edges: bool = False,
-        dead_edges: tuple = (),
+        code: Mapping,
     ) -> None:
-        n = adjacency.shape[0]
-        self._A = adjacency
-        self._alive = (
-            np.ones(n, dtype=bool)
-            if initial_alive is None
-            else np.asarray(initial_alive, dtype=bool).copy()
-        )
+        for v, q in plan.boot_states().items():
+            if q not in code:
+                raise ValueError(
+                    f"node-up boot state {q!r} for {v!r} is not in the "
+                    f"automaton alphabet {sorted(map(repr, code))}"
+                )
+        # events write entries, and ``adjacency`` may be the network's
+        # cached ``to_csr()``
+        self._A = a = adjacency.copy()
+        a.sort_indices()
+        n = a.shape[0]
+        rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(a.indptr))
+        cols = a.indices.astype(np.int64)
+        # ascending; the trailing n * n matches no pair
+        self._keys = np.append(rows * n + cols, n * n)
+        self._mirror = np.searchsorted(self._keys, cols * n + rows)
+        # the CSR order lists the t = 0 nodes first, arrivals after them
+        self._alive = np.arange(n) < len(net)
         self._pos0 = pos0
-        self._copied = False
         self._stamp = np.arange(n, dtype=np.int64)
         self._next_stamp = n
-        self._track_edges = track_edges
-        if track_edges:
-            # arrivals always mutate stored data, and sharing the union
-            # pattern with a cached CSR would leak masked values — copy up
-            # front instead of lazily
-            self._A = self._A.copy()
-            self._copied = True
-        for i, j in dead_edges:
-            # union-pattern edges not present at t = 0 (a not-yet-arrived
-            # endpoint, or a future edge-up) start as explicit zeros
-            self._set_pair(i, j, 0)
+        # the union entries absent at t = 0 are exactly the pairs the up
+        # events contribute that ``net`` lacks
+        absent = []
+        for ev in plan.events():
+            if ev.kind == NODE_UP:
+                pairs = [(ev.target, u) for u in ev.edges]
+            elif ev.kind == EDGE_UP:
+                pairs = [ev.target]
+            else:
+                continue
+            absent += [
+                (pos0[u], pos0[v]) for u, v in pairs
+                if u in pos0 and v in pos0 and not net.has_edge(u, v)
+            ]
+        self._set_pairs(absent, 0)
 
-    def _ensure_copied(self) -> None:
-        if not self._copied:
-            self._A = self._A.copy()
-            self._copied = True
-
-    def _set_pair(self, i: int, j: int, value: int) -> None:
-        """Set the stored entries (i, j) and (j, i) to ``value`` (no-op for
-        pattern-absent pairs, mirroring a preempted event)."""
-        for a, b in ((i, j), (j, i)):
-            lo, hi = self._A.indptr[a], self._A.indptr[a + 1]
-            hit = np.nonzero(self._A.indices[lo:hi] == b)[0]
-            self._A.data[lo + hit] = value
-
-    def _zero_incident(self, i: int) -> None:
-        """Zero every stored entry of row ``i`` and its mirrors (a downed
-        node's edges die with it; a later ``node-up`` re-attaches only the
-        edges it lists)."""
-        lo, hi = self._A.indptr[i], self._A.indptr[i + 1]
-        for j in self._A.indices[lo:hi]:
-            self._set_pair(i, int(j), 0)
+    def _set_pairs(self, pairs: list, value: int) -> None:
+        """Write ``value`` to the stored entries ``(i, j)`` of ``pairs`` and
+        to their mirrors ``(j, i)``; pairs absent from the pattern are
+        skipped."""
+        if not pairs:
+            return
+        i, j = np.array(pairs, dtype=np.int64).T
+        want = i * self._A.shape[0] + j
+        at = np.searchsorted(self._keys, want)
+        at = at[self._keys[at] == want]
+        self._A.data[at] = value
+        self._A.data[self._mirror[at]] = value
 
     def apply(self, fired: list) -> list:
         """Fold applied topology events into the masks.
@@ -297,30 +301,29 @@ class _ChurnMask:
         the events precede.
         """
         boots: list = []
+        pos0, data = self._pos0, self._A.data
         for ev in fired:
             kind = ev.kind
             if kind == NODE_DOWN:
-                i = self._pos0[ev.target]
+                i = pos0[ev.target]
                 self._alive[i] = False
-                if self._track_edges:
-                    self._zero_incident(i)
-            elif kind == EDGE_DOWN:
-                self._ensure_copied()
-                u, v = ev.target
-                self._set_pair(self._pos0[u], self._pos0[v], 0)
+                lo, hi = self._A.indptr[i], self._A.indptr[i + 1]
+                data[lo:hi] = 0
+                data[self._mirror[lo:hi]] = 0
             elif kind == NODE_UP:
-                i = self._pos0[ev.target]
+                i = pos0[ev.target]
                 self._alive[i] = True
                 self._stamp[i] = self._next_stamp  # re-insertion at the back
                 self._next_stamp += 1
-                for u in ev.edges:
-                    j = self._pos0.get(u)
-                    if j is not None and self._alive[j] and j != i:
-                        self._set_pair(i, j, 1)
+                partners = [pos0.get(u) for u in ev.edges]
+                self._set_pairs(
+                    [(i, j) for j in partners
+                     if j is not None and self._alive[j]], 1,
+                )
                 boots.append((i, ev.state))
-            else:  # EDGE_UP
+            else:  # an edge event
                 u, v = ev.target
-                self._set_pair(self._pos0[u], self._pos0[v], 1)
+                self._set_pairs([(pos0[u], pos0[v])], int(kind == EDGE_UP))
         return boots
 
     def live_view(self) -> tuple[np.ndarray, sparse.csr_matrix, np.ndarray]:
@@ -336,54 +339,6 @@ class _ChurnMask:
         sub = self._A[live][:, live]
         deg = np.asarray(sub.sum(axis=1)).ravel()
         return live, sub, deg
-
-
-def _build_churn_mask(
-    net: Network,
-    plan: ChurnPlan,
-    adjacency: sparse.csr_matrix,
-    pos0: Mapping,
-    code: Mapping,
-) -> _ChurnMask:
-    """The eager mask for a plan with arrivals, over the union CSR.
-
-    Rows of nodes absent at t = 0 start dead, as do union-pattern edges
-    not present at t = 0 (either a not-yet-arrived endpoint or a future
-    ``edge-up``).  Node-up boot states are validated against the
-    automaton alphabet here — at construction, not mid-run.
-    """
-    for v, q in plan.boot_states().items():
-        if q not in code:
-            raise ValueError(
-                f"node-up boot state {q!r} for {v!r} is not in the "
-                f"automaton alphabet {sorted(map(repr, code))}"
-            )
-    alive0 = np.fromiter(
-        (v in net for v in pos0), dtype=bool, count=len(pos0)
-    )
-    # union-pattern entries absent at t = 0 are exactly the pairs the
-    # events contribute (union = net ∪ event additions), so collect them
-    # from the event list in O(event edges) instead of scanning the nnz
-    dead: set = set()
-    for ev in plan.events():
-        kind = ev.kind
-        if kind == NODE_UP:
-            i = pos0.get(ev.target)
-            if i is None:
-                continue
-            for u in ev.edges:
-                j = pos0.get(u)
-                if j is not None and j != i and not net.has_edge(ev.target, u):
-                    dead.add((i, j))
-        elif kind == EDGE_UP:
-            u, v = ev.target
-            i, j = pos0.get(u), pos0.get(v)
-            if i is not None and j is not None and not net.has_edge(u, v):
-                dead.add((i, j))
-    return _ChurnMask(
-        adjacency, pos0,
-        initial_alive=alive0, track_edges=True, dead_edges=sorted(dead),
-    )
 
 
 class CirculantAdjacency:
@@ -634,19 +589,19 @@ class SynchronousArrayEngine:
         if metrics is not None:
             metrics.set_tag("backend", self.backend.name)
         self.last_faults: list = []
-        self._fault_mask: Optional[_ChurnMask] = None
-        self._live_pos: Optional[np.ndarray] = None  # None ⇒ no fault yet
+        self._mask: Optional[_ChurnMask] = None
+        self._live_pos: Optional[np.ndarray] = None  # None ⇒ whole σ steps
         self._live_adj = self.adjacency
         self._set_live(degrees)  # cached with the topology
         #: the last step's ``(active, stepped rows)`` change mask
         self._diff: Optional[np.ndarray] = None
-        if union:
-            # arrivals need the eager mask: the t = 0 live view must
-            # already exclude not-yet-arrived rows and dead edge entries
-            self._fault_mask = _build_churn_mask(
+        if fault_plan is not None:
+            self._mask = _ChurnMask(
                 net, fault_plan, self.adjacency, self._pos0, self._code
             )
-            self._set_live_view()
+            if union:
+                # the t = 0 view leaves out the rows and entries to come
+                self._set_live_view()
 
     def _own_streams(self) -> None:
         """Draw through :func:`_draw_source`: the constructors call this
@@ -662,12 +617,12 @@ class SynchronousArrayEngine:
 
     @cached_property
     def _pos0(self) -> dict:
-        """Original row of each node, built on first use (a plan firing or
+        """Original row of each node, built on first use (a plan's mask or
         a live-subset decode)."""
         return {v: i for i, v in enumerate(self._order)}
 
     def _set_live_view(self) -> None:
-        self._live_pos, self._live_adj, deg = self._fault_mask.live_view()
+        self._live_pos, self._live_adj, deg = self._mask.live_view()
         self._set_live(deg)
 
     def _set_live(self, degrees: np.ndarray) -> None:
@@ -705,10 +660,8 @@ class SynchronousArrayEngine:
         return self._sigmas
 
     def _refresh_topology(self, fired: list) -> None:
-        """Fold fired topology events into the incremental live masks."""
-        if self._fault_mask is None:
-            self._fault_mask = _ChurnMask(self.adjacency, self._pos0)
-        boots = self._fault_mask.apply(fired)
+        """Fold fired topology events into the live masks."""
+        boots = self._mask.apply(fired)
         if boots:
             # an arriving node boots in its event's declared state, in
             # every replica, before the step; σ is copied first, since

@@ -111,9 +111,9 @@ class TestChurnPlan:
     def test_addition_flags(self):
         assert not ChurnPlan([TopologyEvent(0, NODE_DOWN, 0)]).has_additions
         edge_up = ChurnPlan([TopologyEvent(0, EDGE_UP, (0, 1))])
-        assert edge_up.has_additions and not edge_up.has_arrivals
+        assert edge_up.has_additions
         node_up = ChurnPlan([TopologyEvent(0, NODE_UP, "v", state="q")])
-        assert node_up.has_additions and node_up.has_arrivals
+        assert node_up.has_additions
 
     def test_apply_due_full_cycle(self):
         net = generators.complete_graph(4)
@@ -247,7 +247,7 @@ class TestGrowthPlan:
         assert [e.target for e in a.events()] == ["new0", "new1", "new2"]
         assert [e.time for e in a.events()] == [4, 7, 10]
         assert [e.edges for e in a.events()] == [e.edges for e in b.events()]
-        assert a.has_arrivals
+        assert all(e.kind == NODE_UP for e in a.events())
         for ev in a.events():
             assert ev.state == "q" and len(ev.edges) == 2
 
@@ -443,3 +443,77 @@ class TestStatesAcrossArrivals:
         # the arrivals report their change out of the boot state
         assert traces["reference"][2][1]["v"] == ("b", "x")
         assert traces["reference"][3][1][2] == ("b", "x")
+
+
+class TestMaskMatchesReexport:
+    """After every step the array engine's live view equals a re-export of
+    the mutated network: the same adjacency once stored zeros are dropped,
+    and rows in ``net.nodes()`` order (the reference draw order)."""
+
+    @staticmethod
+    def _step_and_compare(net, plan, steps):
+        from repro.core.modthresh import ModThreshProgram
+        from repro.runtime.vectorized import VectorizedSynchronousEngine
+
+        programs = {"s": ModThreshProgram(clauses=(), default="s")}
+        eng = VectorizedSynchronousEngine(
+            net, programs, NetworkState.uniform(net, "s"), fault_plan=plan
+        )
+        for _ in range(steps):
+            eng.step()
+            if eng._live_pos is None:  # nothing fired on a deletion-only plan
+                rows, adj = list(eng._order), eng.adjacency
+            else:
+                rows = [eng._order[i] for i in eng._live_pos]
+                adj = eng._live_adj.copy()
+            adj.eliminate_zeros()
+            want, order = net.to_csr()
+            assert rows == order == net.nodes()
+            assert np.array_equal(adj.toarray(), want.toarray())
+        return plan
+
+    @pytest.mark.parametrize("make", [
+        lambda: generators.cycle_graph(10),
+        lambda: generators.complete_graph(7),
+        lambda: generators.grid_graph(3, 4),
+    ], ids=["cycle", "complete", "grid"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_random_churn(self, make, seed):
+        net = make()
+        plan = random_churn_plan(net, 14, 10, rng=seed, p_up=0.5, boot_state="s")
+        assert plan.has_additions
+        self._step_and_compare(net, plan, 12)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_random_fault_plan(self, seed):
+        from repro.runtime.faults import random_fault_plan
+
+        net = generators.grid_graph(4, 4)
+        plan = random_fault_plan(net, 8, 6, rng=seed)
+        self._step_and_compare(net, plan, 8)
+
+    def test_skipped_and_partial_events(self):
+        net = generators.cycle_graph(8)
+        rearrive = TopologyEvent(3, NODE_UP, 1, state="s", edges=(0, 2, 5))
+        dead_edge = TopologyEvent(4, EDGE_DOWN, (3, 4))
+        pre_empted = TopologyEvent(5, EDGE_UP, (2, 3))
+        plan = ChurnPlan([
+            TopologyEvent(1, NODE_DOWN, 1),
+            TopologyEvent(1, NODE_DOWN, 2),
+            TopologyEvent(1, NODE_DOWN, 6),
+            TopologyEvent(2, NODE_DOWN, 3),
+            rearrive,  # partner 2 is down: only 0 and 5 attach
+            TopologyEvent(3, NODE_UP, 6, state="s", edges=(5,)),  # not 7
+            dead_edge,  # 3 is down, so (3, 4) is gone already
+            pre_empted,  # both endpoints down
+            TopologyEvent(6, NODE_UP, 2, state="s", edges=(3,)),
+            TopologyEvent(7, NODE_UP, 3, state="s", edges=(4,)),
+            TopologyEvent(8, EDGE_UP, (2, 3)),
+            TopologyEvent(8, EDGE_UP, (0, 1)),  # present already
+        ])
+        self._step_and_compare(net, plan, 10)
+        assert plan.skipped == [dead_edge, pre_empted, plan.events()[-1]]
+        assert net.neighbors(1) == {0, 5}
+        assert net.neighbors(2) == {3}
+        assert net.neighbors(3) == {2, 4}
+        assert net.neighbors(6) == {5}

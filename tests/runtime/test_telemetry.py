@@ -19,7 +19,9 @@ from repro.algorithms import shortest_paths as sp
 from repro.algorithms import two_coloring as tc
 from repro.network import NetworkState, generators
 from repro.runtime.batched import BatchedSynchronousEngine
-from repro.runtime.churn import EDGE_DOWN, NODE_DOWN, TopologyEvent
+from repro.runtime.churn import (
+    EDGE_DOWN, NODE_DOWN, NODE_UP, ChurnPlan, TopologyEvent,
+)
 from repro.runtime.faults import FaultPlan
 from repro.runtime.simulator import SynchronousSimulator
 from repro.runtime.telemetry import (
@@ -419,16 +421,24 @@ class TestNetworkReuseAcrossRuns:
         assert net.csr_rebuilds == rebuilds0 + 2
         assert res.final_state[5] == (False, 6)  # node 5 now unreachable
 
-    def test_edge_fault_does_not_corrupt_shared_csr(self):
+    @pytest.mark.parametrize("make_plan", [
+        lambda init: FaultPlan.edge_faults({1: (2, 3)}),
+        lambda init: FaultPlan.node_faults({1: 3}),
+        lambda init: ChurnPlan([
+            TopologyEvent(1, NODE_DOWN, 3),
+            TopologyEvent(2, NODE_UP, 3, state=init[3], edges=(2,)),
+        ]),
+    ], ids=["edge-fault", "node-fault", "arrival"])
+    def test_edge_fault_does_not_corrupt_shared_csr(self, make_plan):
         net, automaton, init = _distance_workload(6)
         mat0, _ = net.to_csr()
         data_before = mat0.data.copy()
-        plan = FaultPlan.edge_faults({1: (2, 3)})
-        run(automaton, net, init, fault_plan=plan, until="stable")
-        # copy-on-first-edge-fault: the engine zeroed entries in its own
+        run(automaton, net, init, fault_plan=make_plan(init), until="stable")
+        # every plan kind writes stored entries (a node fault zeroes the
+        # node's row and its mirrors), so the engine writes into its own
         # copy; the matrix other holders may still reference is untouched
         assert np.array_equal(mat0.data, data_before)
-        # and the network's own cache was invalidated by remove_edge
+        # and the network's own cache was invalidated by the topology edit
         mat1, _ = net.to_csr()
         assert mat1 is not mat0
 
